@@ -322,6 +322,7 @@ pub(crate) fn run_wave(
     // history.
     let audit_mark = rt.auditor.violations.len();
     let denial_mark = rt.auditor.denials;
+    let copied_mark = rt.mgr.pool().bytes_copied();
     let job_ids: Vec<JobId> = jobs
         .iter()
         .map(|_| {
@@ -537,6 +538,7 @@ pub(crate) fn run_wave(
     report.makespan = end - t0;
     report.bytes_moved = rt.trace.bytes_moved();
     report.bytes_ownership_transferred = rt.trace.bytes_transferred_by_ownership();
+    report.host_bytes_copied = rt.mgr.pool().bytes_copied() - copied_mark;
     report.placements = std::mem::take(&mut rt.engine.decisions);
     report.violations = rt.auditor.violations[audit_mark..].to_vec();
     report.denials = rt.auditor.denials - denial_mark;

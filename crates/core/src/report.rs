@@ -105,6 +105,10 @@ pub struct RunReport {
     pub bytes_moved: u64,
     /// Bytes whose movement was avoided by ownership transfer.
     pub bytes_ownership_transferred: u64,
+    /// Bytes the simulator itself memcpy'd on the host: partial tail
+    /// pages of region copies and copy-on-write faults. Virtual-time
+    /// costs do not depend on it; whole shared pages count nothing.
+    pub host_bytes_copied: u64,
     /// Number of pure ownership transfers.
     pub ownership_transfers: u64,
     /// Number of physical handover copies.

@@ -504,6 +504,7 @@ fn merge_reports(into: &mut RunReport, wave: RunReport) {
     into.tasks.extend(wave.tasks);
     into.bytes_moved += wave.bytes_moved;
     into.bytes_ownership_transferred += wave.bytes_ownership_transferred;
+    into.host_bytes_copied += wave.host_bytes_copied;
     into.ownership_transfers += wave.ownership_transfers;
     into.handover_copies += wave.handover_copies;
     into.placements.extend(wave.placements);

@@ -66,6 +66,42 @@ fn always_copy_baseline_moves_every_byte() {
 }
 
 #[test]
+fn fan_out_of_a_never_written_output_copies_no_host_bytes() {
+    let (topo, _) = single_server();
+    let mut rt = Runtime::new(topo, RuntimeConfig::default());
+    let mut job = JobBuilder::new("fan-out");
+    let src = job.task(TaskSpec::new("src").output_bytes(128 << 20));
+    for i in 0..3 {
+        let t = job.task(TaskSpec::new(format!("c{i}")).output_bytes(4096));
+        job.edge(src, t);
+    }
+    let report = rt.execute(job.build().unwrap()).unwrap();
+    assert_eq!(report.handover_copies, 2, "one transfer, two copies");
+    assert_eq!(report.host_bytes_copied, 0, "the copies share the zero page");
+}
+
+#[test]
+fn written_fan_out_copies_only_the_partial_tail_page() {
+    // The diamond's source writes its 4 KiB output, so the copy to the
+    // second consumer memcpy's that one partial page.
+    let mut rt = Runtime::new(two_workers(), RuntimeConfig::default());
+    let report = rt.execute(diamond_job()).unwrap();
+    assert_eq!(report.handover_copies, 1);
+    assert_eq!(report.host_bytes_copied, 4096);
+}
+
+#[test]
+fn bytes_moved_is_the_same_traced_or_not() {
+    let run = |config: RuntimeConfig| {
+        let mut rt = Runtime::new(two_workers(), config);
+        rt.execute(diamond_job()).unwrap().bytes_moved
+    };
+    let traced = run(RuntimeConfig::traced());
+    assert!(traced > 0);
+    assert_eq!(run(RuntimeConfig::default()), traced);
+}
+
+#[test]
 fn hospital_dataflow_properties_are_honored() {
     // Figure 2: the five-task hospital job with its property annotations.
     let (topo, _) = single_server();

@@ -224,7 +224,7 @@ impl ReplicatedRegion {
             self.owner,
             now,
         )?;
-        let data = mgr.bytes(self.replicas[src], self.owner)?.to_vec();
+        let data = mgr.to_vec(self.replicas[src], self.owner)?;
         mgr.write(new, self.owner, 0, &data)?;
         // The old replica's backing is gone with its device; drop our
         // handle without double-freeing if the pool still tracks it.
@@ -307,7 +307,7 @@ mod tests {
             .unwrap();
         assert_eq!(rr.bytes_written, 1024, "2x write amplification");
         for &r in &rr.replicas {
-            assert_eq!(&mgr.bytes(r, OWNER).unwrap()[..512], &[7u8; 512]);
+            assert_eq!(&mgr.to_vec(r, OWNER).unwrap()[..512], &[7u8; 512]);
         }
         assert_eq!(rr.overhead(), 2.0);
     }
@@ -422,7 +422,7 @@ mod tests {
         assert!(took > SimDuration::ZERO);
         assert_eq!(rr.devs[0], pool[2]);
         // Contents intact on the new replica.
-        assert_eq!(&mgr.bytes(rr.replicas[0], OWNER).unwrap()[..16], &[5u8; 16]);
+        assert_eq!(&mgr.to_vec(rr.replicas[0], OWNER).unwrap()[..16], &[5u8; 16]);
         // Redundancy is back: both replicas alive under the same fault plan.
         assert_eq!(rr.alive(&topo, &faults, SimTime(200)).len(), 2);
         let _ = cpus;

@@ -227,7 +227,7 @@ impl StripedRegion {
         }
         // Recompute parity from the full data spans and rewrite it.
         let data_spans: Vec<Vec<u8>> = (0..k)
-            .map(|i| mgr.bytes(self.spans[i], self.owner).map(|b| b.to_vec()))
+            .map(|i| mgr.to_vec(self.spans[i], self.owner))
             .collect::<Result<_, _>>()?;
         let parity = self.rs.encode(&data_spans)?;
         // Parity arithmetic reads k spans and produces m spans.
@@ -307,7 +307,7 @@ impl StripedRegion {
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.spans.len()];
         let mut slowest = SimDuration::ZERO;
         for &i in alive.iter().take(k) {
-            shards[i] = Some(mgr.bytes(self.spans[i], self.owner)?.to_vec());
+            shards[i] = Some(mgr.to_vec(self.spans[i], self.owner)?);
             slowest = slowest.max(self.charge_span(topo, ledger, i, self.span_size, false, now));
         }
         self.rs.reconstruct(&mut shards)?;
@@ -358,7 +358,7 @@ impl StripedRegion {
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.spans.len()];
         let mut slowest = SimDuration::ZERO;
         for &i in alive.iter().take(k) {
-            shards[i] = Some(mgr.bytes(self.spans[i], self.owner)?.to_vec());
+            shards[i] = Some(mgr.to_vec(self.spans[i], self.owner)?);
             slowest = slowest.max(self.charge_span(topo, ledger, i, self.span_size, false, now));
         }
         self.rs.reconstruct(&mut shards)?;

@@ -13,7 +13,9 @@
 //! cost. This avoids double-counting while letting remote placements pay
 //! realistic penalties.
 
+use std::cell::RefCell;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use crate::compute::ComputeModel;
 use crate::device::{AccessOp, AccessPattern, MemDeviceModel};
@@ -219,10 +221,28 @@ pub struct Topology {
     compute_node: Vec<NodeId>,
     /// Node owning each memory device.
     mem_node: Vec<NodeId>,
+    /// Resolved paths, shared by every topology built from the same
+    /// link graph.
+    paths: Arc<PathTables>,
+}
+
+/// The all-pairs paths of one link graph.
+#[derive(Debug)]
+struct PathTables {
     /// `paths[c][m]`: resolved compute→memory path, `None` if unreachable.
     paths: Vec<Vec<Option<PathCost>>>,
     /// `mem_paths[a][b]`: resolved memory→memory path (for copies).
     mem_paths: Vec<Vec<Option<PathCost>>>,
+}
+
+/// Link graphs whose paths this thread resolved last, most recent last.
+/// Rebuilding the same rack (every benchmark pass, every serving stream)
+/// then skips the Dijkstra runs.
+const PATH_CACHE_GRAPHS: usize = 4;
+
+thread_local! {
+    static PATH_CACHE: RefCell<Vec<(Vec<u64>, Arc<PathTables>)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
 impl Topology {
@@ -284,13 +304,13 @@ impl Topology {
     /// The resolved path from a compute device to a memory device, or
     /// `None` if the memory is not addressable from there.
     pub fn path(&self, from: ComputeId, to: MemDeviceId) -> Option<PathCost> {
-        self.paths[from.index()][to.index()]
+        self.paths.paths[from.index()][to.index()]
     }
 
     /// The resolved path between two memory devices (for copies and
     /// migrations), or `None` if no route exists.
     pub fn mem_path(&self, from: MemDeviceId, to: MemDeviceId) -> Option<PathCost> {
-        self.mem_paths[from.index()][to.index()]
+        self.paths.mem_paths[from.index()][to.index()]
     }
 
     /// True if `mem` is addressable from `compute`.
@@ -529,75 +549,29 @@ impl TopologyBuilder {
         let nm = self.mem.len();
         let nv = nc + nm + self.nodes.len();
 
-        // Adjacency: vertex → [(neighbor, lat, bw, link)].
-        let mut adj: Vec<Vec<(usize, f64, f64, LinkId)>> = vec![Vec::new(); nv];
+        // The key holds exactly what path resolution reads: the vertex
+        // counts and, per link in id order, its endpoints and the bits of
+        // its latency and bandwidth.
+        let mut key = vec![nc as u64, nm as u64, nv as u64];
         for link in &self.links {
-            let ai = self.endpoint_index(link.a)?;
-            let bi = self.endpoint_index(link.b)?;
-            adj[ai].push((bi, link.latency_ns, link.bandwidth_bpns, link.id));
-            adj[bi].push((ai, link.latency_ns, link.bandwidth_bpns, link.id));
+            key.extend([
+                self.endpoint_index(link.a)? as u64,
+                self.endpoint_index(link.b)? as u64,
+                link.latency_ns.to_bits(),
+                link.bandwidth_bpns.to_bits(),
+            ]);
         }
-
-        // Dijkstra by latency from every source vertex; bottleneck
-        // bandwidth and hop count ride along the chosen shortest path.
-        let dijkstra = |src: usize| -> Vec<Option<PathCost>> {
-            #[derive(PartialEq)]
-            struct Entry(f64, usize);
-            impl Eq for Entry {}
-            impl PartialOrd for Entry {
-                fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                    Some(self.cmp(other))
-                }
+        let paths = PATH_CACHE.with_borrow_mut(|cache| {
+            if let Some((_, tables)) = cache.iter().find(|(k, _)| *k == key) {
+                return tables.clone();
             }
-            impl Ord for Entry {
-                fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                    // Reverse for a min-heap on latency.
-                    other.0.total_cmp(&self.0)
-                }
+            let tables = Arc::new(resolve_paths(nc, nm, nv, &key[3..]));
+            if cache.len() == PATH_CACHE_GRAPHS {
+                cache.remove(0);
             }
-            let mut best: Vec<Option<PathCost>> = vec![None; nv];
-            let mut heap = BinaryHeap::new();
-            best[src] = Some(PathCost::LOCAL);
-            heap.push(Entry(0.0, src));
-            while let Some(Entry(lat, v)) = heap.pop() {
-                let cur = best[v].expect("popped vertex must be reached");
-                if lat > cur.latency_ns {
-                    continue;
-                }
-                for &(w, l, bw, link) in &adj[v] {
-                    let cand = PathCost {
-                        latency_ns: cur.latency_ns + l,
-                        bandwidth_bpns: cur.bandwidth_bpns.min(bw),
-                        hops: cur.hops + 1,
-                        bottleneck_link: if bw < cur.bandwidth_bpns {
-                            Some(link)
-                        } else {
-                            cur.bottleneck_link
-                        },
-                    };
-                    let better = match best[w] {
-                        None => true,
-                        Some(prev) => cand.latency_ns < prev.latency_ns,
-                    };
-                    if better {
-                        best[w] = Some(cand);
-                        heap.push(Entry(cand.latency_ns, w));
-                    }
-                }
-            }
-            best
-        };
-
-        let mut paths = vec![vec![None; nm]; nc];
-        for (c, row) in paths.iter_mut().enumerate() {
-            let best = dijkstra(c);
-            row.copy_from_slice(&best[nc..nc + nm]);
-        }
-        let mut mem_paths = vec![vec![None; nm]; nm];
-        for (a, row) in mem_paths.iter_mut().enumerate() {
-            let best = dijkstra(nc + a);
-            row.copy_from_slice(&best[nc..nc + nm]);
-        }
+            cache.push((key, tables.clone()));
+            tables
+        });
 
         // Fill in compute-local memory lists: a memory device is local to a
         // compute device iff they share a direct memory-bus link (the
@@ -630,8 +604,79 @@ impl TopologyBuilder {
             compute_node: self.compute_node,
             mem_node: self.mem_node,
             paths,
-            mem_paths,
         })
+    }
+}
+
+/// Resolves all-pairs compute→memory and memory→memory paths by Dijkstra
+/// on latency from every source vertex; bottleneck bandwidth and hop
+/// count ride along the chosen shortest path. `links` holds four words
+/// per link, in id order: endpoint vertices, latency bits, bandwidth bits.
+fn resolve_paths(nc: usize, nm: usize, nv: usize, links: &[u64]) -> PathTables {
+    // Adjacency: vertex → [(neighbor, lat, bw, link)].
+    let mut adj: Vec<Vec<(usize, f64, f64, LinkId)>> = vec![Vec::new(); nv];
+    for (i, l) in links.chunks_exact(4).enumerate() {
+        let (ai, bi) = (l[0] as usize, l[1] as usize);
+        let (lat, bw) = (f64::from_bits(l[2]), f64::from_bits(l[3]));
+        let id = LinkId::from_index(i);
+        adj[ai].push((bi, lat, bw, id));
+        adj[bi].push((ai, lat, bw, id));
+    }
+
+    let dijkstra = |src: usize| -> Vec<Option<PathCost>> {
+        #[derive(PartialEq)]
+        struct Entry(f64, usize);
+        impl Eq for Entry {}
+        impl PartialOrd for Entry {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Entry {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                // Reverse for a min-heap on latency.
+                other.0.total_cmp(&self.0)
+            }
+        }
+        let mut best: Vec<Option<PathCost>> = vec![None; nv];
+        let mut heap = BinaryHeap::new();
+        best[src] = Some(PathCost::LOCAL);
+        heap.push(Entry(0.0, src));
+        while let Some(Entry(lat, v)) = heap.pop() {
+            let cur = best[v].expect("popped vertex must be reached");
+            if lat > cur.latency_ns {
+                continue;
+            }
+            for &(w, l, bw, link) in &adj[v] {
+                let cand = PathCost {
+                    latency_ns: cur.latency_ns + l,
+                    bandwidth_bpns: cur.bandwidth_bpns.min(bw),
+                    hops: cur.hops + 1,
+                    bottleneck_link: if bw < cur.bandwidth_bpns {
+                        Some(link)
+                    } else {
+                        cur.bottleneck_link
+                    },
+                };
+                let better = match best[w] {
+                    None => true,
+                    Some(prev) => cand.latency_ns < prev.latency_ns,
+                };
+                if better {
+                    best[w] = Some(cand);
+                    heap.push(Entry(cand.latency_ns, w));
+                }
+            }
+        }
+        best
+    };
+
+    let rows = |first: usize, count: usize| -> Vec<Vec<Option<PathCost>>> {
+        (first..first + count).map(|v| dijkstra(v)[nc..nc + nm].to_vec()).collect()
+    };
+    PathTables {
+        paths: rows(0, nc),
+        mem_paths: rows(nc, nm),
     }
 }
 
@@ -657,6 +702,23 @@ mod tests {
         b.link(cpu, Endpoint::Hub(n), LinkKind::PcieCxl);
         b.link(gpu, Endpoint::Hub(n), LinkKind::PcieCxl);
         b.build().expect("valid topology")
+    }
+
+    #[test]
+    fn identical_link_graphs_share_one_path_table() {
+        let pair = |latency_ns: f64| {
+            let mut b = Topology::builder();
+            let n = b.node("host");
+            let cpu = b.compute(n, ComputeModel::preset(ComputeKind::Cpu));
+            let dram = b.mem(n, MemDeviceModel::preset(MemDeviceKind::Dram));
+            b.link_custom(cpu, dram, LinkKind::MemBus, latency_ns, 10.0);
+            (b.build().unwrap(), cpu, dram)
+        };
+        let ((a, cpu, dram), (b, _, _), (c, _, _)) = (pair(1.0), pair(1.0), pair(2.0));
+        assert!(Arc::ptr_eq(&a.paths, &b.paths));
+        assert!(!Arc::ptr_eq(&a.paths, &c.paths), "one latency differs");
+        assert_eq!(a.path(cpu, dram).unwrap().latency_ns, 1.0);
+        assert_eq!(c.path(cpu, dram).unwrap().latency_ns, 2.0);
     }
 
     #[test]

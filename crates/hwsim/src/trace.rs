@@ -279,6 +279,8 @@ pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,
     tap: Option<TraceTap>,
+    /// Access and migration bytes of every pushed event, buffered or not.
+    moved: u64,
 }
 
 impl std::fmt::Debug for Trace {
@@ -287,6 +289,7 @@ impl std::fmt::Debug for Trace {
             .field("events", &self.events)
             .field("enabled", &self.enabled)
             .field("tap", &self.tap.as_ref().map(|_| "..."))
+            .field("moved", &self.moved)
             .finish()
     }
 }
@@ -295,9 +298,8 @@ impl Trace {
     /// A trace that records events.
     pub fn enabled() -> Self {
         Trace {
-            events: Vec::new(),
             enabled: true,
-            tap: None,
+            ..Trace::default()
         }
     }
 
@@ -323,9 +325,12 @@ impl Trace {
         self.tap.is_some()
     }
 
-    /// Records an event: streams it to the tap (if installed), then
-    /// buffers it (if enabled).
+    /// Records an event: counts its moved bytes, streams it to the tap
+    /// (if installed), then buffers it (if enabled).
     pub fn push(&mut self, event: TraceEvent) {
+        if let TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } = event {
+            self.moved += bytes;
+        }
         if let Some(tap) = &mut self.tap {
             tap(&event);
         }
@@ -349,15 +354,11 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Total bytes physically moved (accesses + migrations).
+    /// Total bytes physically moved (accesses + migrations) since the
+    /// trace was made or last cleared, counted whether or not events are
+    /// buffered.
     pub fn bytes_moved(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match *e {
-                TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } => bytes,
-                _ => 0,
-            })
-            .sum()
+        self.moved
     }
 
     /// Total bytes whose movement was *avoided* by ownership transfer.
@@ -392,9 +393,10 @@ impl Trace {
         acc.into_iter().collect()
     }
 
-    /// Clears all events.
+    /// Clears all events and the moved-bytes count.
     pub fn clear(&mut self) {
         self.events.clear();
+        self.moved = 0;
     }
 
     /// Renders the trace as CSV (`kind,at_ns,detail...`) for offline
@@ -551,6 +553,24 @@ mod tests {
         t.push(access(0, 64));
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    fn bytes_moved_counts_whether_or_not_events_are_buffered() {
+        for mut t in [Trace::enabled(), Trace::disabled()] {
+            t.push(access(0, 64));
+            t.push(TraceEvent::Migrate {
+                region: 1,
+                from: MemDeviceId(0),
+                to: MemDeviceId(1),
+                bytes: 50,
+                at: SimTime(0),
+                took: SimDuration(1),
+            });
+            assert_eq!(t.bytes_moved(), 114);
+            t.clear();
+            assert_eq!(t.bytes_moved(), 0);
+        }
     }
 
     #[test]

@@ -229,7 +229,7 @@ mod tests {
             migrate(&mut mgr, &topo, &mut ledger, &mut trace, id, dram, SimTime::ZERO).unwrap();
         assert_eq!(new.dev, dram);
         assert!(took > SimDuration::ZERO);
-        assert_eq!(&mgr.bytes(id, WHO).unwrap()[..16], &[0xCD; 16]);
+        assert_eq!(&mgr.to_vec(id, WHO).unwrap()[..16], &[0xCD; 16]);
         assert_eq!(trace.count(|e| matches!(e, TraceEvent::Migrate { .. })), 1);
     }
 

@@ -3,22 +3,31 @@
 //! Every simulated memory device gets an *arena* that tracks offset-based
 //! allocations against the device's capacity with a coalescing first-fit
 //! free list — so capacity pressure and fragmentation are real, measurable
-//! effects. The *contents* of each allocation are backed by an ordinary
-//! heap buffer, so tasks compute on real bytes while capacities can be
-//! terabytes without reserving terabytes of host RAM.
+//! effects. The *contents* of each allocation live in host memory, so
+//! tasks compute on real bytes while capacities can be terabytes without
+//! reserving terabytes of host RAM.
+//!
+//! # Page store
+//!
+//! A region's bytes are one page table of refcounted 64 KiB pages. A
+//! `None` entry is the shared zero page, and the table itself is
+//! allocated on the first write, so a never-written region holds nothing
+//! and reads as zeros without a lookup. [`MemoryPool::copy_between`]
+//! clones page handles for whole pages and memcpy's only a partial tail
+//! page, so a handover copy is metadata, as Figure 4 of the paper has it.
+//! A write to a page another region still shares copies that page first
+//! (copy on write). There are no contiguous views of a region: callers
+//! read and write through offsets, a page at a time underneath.
 //!
 //! # Hot-path layout
 //!
 //! [`RegionId`]s are issued from a monotone counter and never reused, so
-//! per-region state (placement + backing) lives in one dense slab `Vec`
-//! indexed by the id — no hashing on the allocate/free/read/write paths,
-//! and `live()` iterates in id order, which is deterministic. Sparse
-//! backings keep their materialized pages in a sorted `Vec` with a
-//! last-page cursor so sequential streams resolve pages in O(1), and
-//! reads of ranges no page has ever touched zero-fill without any
-//! per-page lookup at all.
+//! per-region state (placement + page table) lives in one dense slab
+//! `Vec` indexed by the id — no hashing on the allocate/free/read/write
+//! paths, and `live()` iterates in id order, which is deterministic. A
+//! byte offset finds its page by division.
 
-use std::cell::Cell;
+use std::sync::Arc;
 
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::topology::Topology;
@@ -49,9 +58,6 @@ pub enum AllocError {
     ZeroSize,
     /// The id is unknown or already freed.
     UnknownRegion(RegionId),
-    /// The region is too large for a contiguous byte view; use the
-    /// offset-based `read_at`/`write_at` API instead.
-    NotContiguous(RegionId),
 }
 
 impl std::fmt::Display for AllocError {
@@ -62,9 +68,6 @@ impl std::fmt::Display for AllocError {
             }
             AllocError::ZeroSize => write!(f, "zero-sized allocation"),
             AllocError::UnknownRegion(id) => write!(f, "unknown or freed region {id}"),
-            AllocError::NotContiguous(id) => {
-                write!(f, "region {id} is sparse-backed; use read_at/write_at")
-            }
         }
     }
 }
@@ -153,159 +156,113 @@ impl Arena {
     }
 }
 
-/// Regions up to this size get one contiguous heap buffer; larger
-/// regions use sparse page-mapped backing so a simulated terabyte does
-/// not need a real terabyte of host RAM.
-pub const DENSE_BACKING_LIMIT: u64 = 64 << 20;
+/// Page size of the byte store.
+pub const PAGE_SIZE: u64 = 64 << 10;
 
-/// Page size of the sparse backing.
-const SPARSE_PAGE: u64 = 64 << 10;
+/// The bytes every fresh page starts from.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
 
-/// Backing storage for a region's bytes.
-#[derive(Debug)]
-enum Backing {
-    /// One contiguous buffer (small regions).
-    Dense(Vec<u8>),
-    /// Lazily materialized pages; unmapped pages read as zero. The
-    /// logical size lives in the pool's placement table.
-    Sparse {
-        /// Materialized pages `(page_number, bytes)`, sorted by page
-        /// number. Pages only materialize on write, so most regions hold
-        /// a handful and binary search is already cheap; the cursor makes
-        /// sequential streams O(1) per page.
-        pages: Vec<(u64, Box<[u8]>)>,
-        /// Index into `pages` of the last page touched.
-        cursor: Cell<usize>,
-    },
-}
-
-/// Locates `page` in the sorted page list, preferring the cursor hint
-/// (exact hit or its successor — the sequential-stream cases) before
-/// falling back to binary search. Updates the cursor on success.
-fn find_page(pages: &[(u64, Box<[u8]>)], cursor: &Cell<usize>, page: u64) -> Option<usize> {
-    let c = cursor.get();
-    if let Some(&(p, _)) = pages.get(c) {
-        if p == page {
-            return Some(c);
-        }
-        if p < page {
-            if let Some(&(np, _)) = pages.get(c + 1) {
-                if np == page {
-                    cursor.set(c + 1);
-                    return Some(c + 1);
-                }
-            }
-        }
-    }
-    match pages.binary_search_by_key(&page, |&(p, _)| p) {
-        Ok(i) => {
-            cursor.set(i);
-            Some(i)
-        }
-        Err(_) => None,
-    }
-}
-
-impl Backing {
-    fn new(size: u64) -> Backing {
-        if size <= DENSE_BACKING_LIMIT {
-            Backing::Dense(vec![0u8; size as usize])
-        } else {
-            Backing::Sparse { pages: Vec::new(), cursor: Cell::new(0) }
-        }
-    }
-
-    fn read(&self, offset: u64, buf: &mut [u8]) {
-        match self {
-            Backing::Dense(v) => {
-                buf.copy_from_slice(&v[offset as usize..offset as usize + buf.len()]);
-            }
-            Backing::Sparse { pages, cursor } => {
-                if buf.is_empty() {
-                    return;
-                }
-                // Zero-fill fast path: a range no write has ever touched
-                // needs no per-page lookups at all.
-                let first = offset / SPARSE_PAGE;
-                let last = (offset + buf.len() as u64 - 1) / SPARSE_PAGE;
-                let untouched = match (pages.first(), pages.last()) {
-                    (Some(&(lo, _)), Some(&(hi, _))) => last < lo || first > hi,
-                    _ => true,
-                };
-                if untouched {
-                    buf.fill(0);
-                    return;
-                }
-                let mut done = 0usize;
-                while done < buf.len() {
-                    let pos = offset + done as u64;
-                    let page = pos / SPARSE_PAGE;
-                    let within = (pos % SPARSE_PAGE) as usize;
-                    let take = (SPARSE_PAGE as usize - within).min(buf.len() - done);
-                    match find_page(pages, cursor, page) {
-                        Some(i) => {
-                            let p = &pages[i].1;
-                            buf[done..done + take].copy_from_slice(&p[within..within + take]);
-                        }
-                        None => buf[done..done + take].fill(0),
-                    }
-                    done += take;
-                }
-            }
-        }
-    }
-
-    fn write(&mut self, offset: u64, data: &[u8]) {
-        match self {
-            Backing::Dense(v) => {
-                v[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-            }
-            Backing::Sparse { pages, cursor } => {
-                let mut done = 0usize;
-                while done < data.len() {
-                    let pos = offset + done as u64;
-                    let page = pos / SPARSE_PAGE;
-                    let within = (pos % SPARSE_PAGE) as usize;
-                    let take = (SPARSE_PAGE as usize - within).min(data.len() - done);
-                    let i = match find_page(pages, cursor, page) {
-                        Some(i) => i,
-                        None => {
-                            let at = pages.partition_point(|&(p, _)| p < page);
-                            pages.insert(
-                                at,
-                                (page, vec![0u8; SPARSE_PAGE as usize].into_boxed_slice()),
-                            );
-                            cursor.set(at);
-                            at
-                        }
-                    };
-                    pages[i].1[within..within + take].copy_from_slice(&data[done..done + take]);
-                    done += take;
-                }
-            }
-        }
-    }
-
-    fn as_slice(&self) -> Option<&[u8]> {
-        match self {
-            Backing::Dense(v) => Some(v),
-            Backing::Sparse { .. } => None,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> Option<&mut [u8]> {
-        match self {
-            Backing::Dense(v) => Some(v),
-            Backing::Sparse { .. } => None,
-        }
-    }
-}
+/// One refcounted page. Regions that copied from each other share it
+/// until one of them writes.
+type Page = Arc<[u8]>;
 
 /// Per-region state in the slab.
 #[derive(Debug)]
 struct RegionSlot {
     placement: Placement,
-    backing: Backing,
+    /// One entry per page; `None` is the shared zero page. Empty until
+    /// the first write, so a never-written region holds no table.
+    pages: Vec<Option<Page>>,
+}
+
+/// Splits a byte position into its page index and offset within the page.
+fn split(pos: u64) -> (usize, usize) {
+    ((pos / PAGE_SIZE) as usize, (pos % PAGE_SIZE) as usize)
+}
+
+/// Makes page `i` of a `size`-byte region writable: materialises the
+/// zero page, cut short at the region's end so a small region holds a
+/// small page, or copies a page another region still shares (adding its
+/// length to `copied`).
+fn page_mut<'a>(
+    pages: &'a mut [Option<Page>],
+    i: usize,
+    size: u64,
+    copied: &mut u64,
+) -> &'a mut [u8] {
+    let p = pages[i].get_or_insert_with(|| {
+        let len = (size - i as u64 * PAGE_SIZE).min(PAGE_SIZE);
+        Arc::from(&ZERO_PAGE[..len as usize])
+    });
+    if Arc::strong_count(p) > 1 {
+        *copied += p.len() as u64;
+    }
+    Arc::make_mut(p)
+}
+
+impl RegionSlot {
+    fn check_range(&self, offset: u64, len: u64) {
+        let size = self.placement.size;
+        assert!(
+            offset.checked_add(len).is_some_and(|end| end <= size),
+            "access [{offset}, +{len}) past the end of a {size}-byte region"
+        );
+    }
+
+    /// Allocates the page table on the first write.
+    fn table(&mut self) -> &mut Vec<Option<Page>> {
+        if self.pages.is_empty() {
+            self.pages = vec![None; self.placement.size.div_ceil(PAGE_SIZE) as usize];
+        }
+        &mut self.pages
+    }
+
+    fn read(&self, offset: u64, buf: &mut [u8]) {
+        self.check_range(offset, buf.len() as u64);
+        if self.pages.is_empty() || buf.is_empty() {
+            buf.fill(0);
+            return;
+        }
+        let (mut page, mut within) = split(offset);
+        let mut done = 0;
+        loop {
+            let take = (PAGE_SIZE as usize - within).min(buf.len() - done);
+            let out = &mut buf[done..done + take];
+            match &self.pages[page] {
+                Some(p) => out.copy_from_slice(&p[within..within + take]),
+                None => out.fill(0),
+            }
+            done += take;
+            if done == buf.len() {
+                return;
+            }
+            page += 1;
+            within = 0;
+        }
+    }
+
+    /// Writes `data` at `offset`; returns the bytes copy-on-write copied.
+    fn write(&mut self, offset: u64, data: &[u8]) -> u64 {
+        self.check_range(offset, data.len() as u64);
+        if data.is_empty() {
+            return 0;
+        }
+        let size = self.placement.size;
+        let pages = self.table();
+        let (mut page, mut within) = split(offset);
+        let (mut done, mut copied) = (0, 0);
+        loop {
+            let take = (PAGE_SIZE as usize - within).min(data.len() - done);
+            page_mut(pages, page, size, &mut copied)[within..within + take]
+                .copy_from_slice(&data[done..done + take]);
+            done += take;
+            if done == data.len() {
+                return copied;
+            }
+            page += 1;
+            within = 0;
+        }
+    }
 }
 
 /// The pool of all memory devices in a topology.
@@ -316,6 +273,8 @@ pub struct MemoryPool {
     /// reused, so a freed region leaves a `None` tombstone.
     slots: Vec<Option<RegionSlot>>,
     live: usize,
+    /// Bytes memcpy'd by tail copies and copy-on-write faults.
+    copied: u64,
 }
 
 impl MemoryPool {
@@ -325,6 +284,7 @@ impl MemoryPool {
             arenas: topo.mem_devices().iter().map(|m| Arena::new(m.capacity)).collect(),
             slots: Vec::new(),
             live: 0,
+            copied: 0,
         }
     }
 
@@ -356,7 +316,7 @@ impl MemoryPool {
         let id = RegionId(self.slots.len() as u64);
         self.slots.push(Some(RegionSlot {
             placement: Placement { dev, offset, size },
-            backing: Backing::new(size),
+            pages: Vec::new(),
         }));
         self.live += 1;
         Ok(id)
@@ -385,58 +345,88 @@ impl MemoryPool {
         self.slot(id).is_ok()
     }
 
-    /// Read access to an allocation's bytes as one contiguous slice.
-    /// Fails with [`AllocError::NotContiguous`] for sparse-backed regions
-    /// (larger than [`DENSE_BACKING_LIMIT`]); use [`MemoryPool::read_at`]
-    /// for those.
-    pub fn data(&self, id: RegionId) -> Result<&[u8], AllocError> {
-        self.slot(id)?
-            .backing
-            .as_slice()
-            .ok_or(AllocError::NotContiguous(id))
-    }
-
-    /// Write access to an allocation's bytes as one contiguous slice.
-    /// Fails with [`AllocError::NotContiguous`] for sparse-backed regions.
-    pub fn data_mut(&mut self, id: RegionId) -> Result<&mut [u8], AllocError> {
-        self.slot_mut(id)?
-            .backing
-            .as_mut_slice()
-            .ok_or(AllocError::NotContiguous(id))
-    }
-
-    /// Reads `buf.len()` bytes at `offset` (works for any backing).
-    /// The caller checks bounds; out-of-range access panics.
+    /// Reads `buf.len()` bytes at `offset`. Never-written bytes read
+    /// zero; a range past the end of the allocation panics.
     pub fn read_at(&self, id: RegionId, offset: u64, buf: &mut [u8]) -> Result<(), AllocError> {
-        self.slot(id)?.backing.read(offset, buf);
+        self.slot(id)?.read(offset, buf);
         Ok(())
     }
 
-    /// Writes `data` at `offset` (works for any backing).
+    /// Writes `data` at `offset`, copying any page another region still
+    /// shares first.
     pub fn write_at(&mut self, id: RegionId, offset: u64, data: &[u8]) -> Result<(), AllocError> {
-        self.slot_mut(id)?.backing.write(offset, data);
+        let copied = self.slot_mut(id)?.write(offset, data);
+        self.copied += copied;
         Ok(())
     }
 
-    /// Copies `len` bytes from `src` to `dst` in bounded chunks (works for
-    /// any backing combination; used by handover copies and migrations).
+    /// Copies the first `len` bytes of `src` into `dst` (used by handover
+    /// copies and replication). Whole pages are shared, not copied: only a
+    /// partial tail page is memcpy'd, and a never-written source copies in
+    /// O(1). Both regions must be at least `len` bytes long.
     pub fn copy_between(
         &mut self,
         src: RegionId,
         dst: RegionId,
         len: u64,
     ) -> Result<(), AllocError> {
+        if src == dst {
+            self.slot(src)?.check_range(0, len);
+            return Ok(());
+        }
+        let (s, d) = self.two_slots(src, dst)?;
+        s.check_range(0, len);
+        d.check_range(0, len);
+        if s.pages.is_empty() && d.pages.is_empty() {
+            return Ok(());
+        }
+        let (full, tail) = split(len);
+        let size = d.placement.size;
+        let to = d.table();
+        if s.pages.is_empty() {
+            to[..full].fill(None);
+        } else {
+            to[..full].clone_from_slice(&s.pages[..full]);
+        }
+        let mut copied = 0;
+        if tail > 0 {
+            match s.pages.get(full).and_then(Option::as_ref) {
+                Some(from) => {
+                    page_mut(to, full, size, &mut copied)[..tail].copy_from_slice(&from[..tail]);
+                    copied += tail as u64;
+                }
+                None if to[full].is_some() => page_mut(to, full, size, &mut copied)[..tail].fill(0),
+                None => {}
+            }
+        }
+        self.copied += copied;
+        Ok(())
+    }
+
+    /// Borrows two distinct live slots, `src` shared and `dst` mutably.
+    fn two_slots(
+        &mut self,
+        src: RegionId,
+        dst: RegionId,
+    ) -> Result<(&RegionSlot, &mut RegionSlot), AllocError> {
         self.slot(src)?;
         self.slot(dst)?;
-        let mut chunk = vec![0u8; (1 << 20).min(len as usize).max(1)];
-        let mut off = 0u64;
-        while off < len {
-            let take = ((len - off) as usize).min(chunk.len());
-            self.slot(src)?.backing.read(off, &mut chunk[..take]);
-            self.slot_mut(dst)?.backing.write(off, &chunk[..take]);
-            off += take as u64;
-        }
-        Ok(())
+        let (si, di) = (src.0 as usize, dst.0 as usize);
+        let (s, d) = if si < di {
+            let (lo, hi) = self.slots.split_at_mut(di);
+            (&lo[si], &mut hi[0])
+        } else {
+            let (lo, hi) = self.slots.split_at_mut(si);
+            (&hi[0], &mut lo[di])
+        };
+        Ok((s.as_ref().expect("checked live"), d.as_mut().expect("checked live")))
+    }
+
+    /// Bytes this pool has physically memcpy'd: partial tail pages of
+    /// [`MemoryPool::copy_between`] and pages copied on write because
+    /// another region shared them. Shared whole pages count nothing.
+    pub fn bytes_copied(&self) -> u64 {
+        self.copied
     }
 
     /// Moves an allocation's backing to another device (the physical part
@@ -563,9 +553,9 @@ mod tests {
     fn buffers_are_zero_initialized_and_writable() {
         let (mut pool, dev) = pool_with_capacity(1024);
         let id = pool.alloc(dev, 16).unwrap();
-        assert!(pool.data(id).unwrap().iter().all(|&b| b == 0));
-        pool.data_mut(id).unwrap()[0] = 0xAB;
-        assert_eq!(pool.data(id).unwrap()[0], 0xAB);
+        assert_eq!(read(&pool, id, 0, 16), [0; 16]);
+        pool.write_at(id, 0, &[0xAB]).unwrap();
+        assert_eq!(read(&pool, id, 0, 2), [0xAB, 0]);
     }
 
     #[test]
@@ -611,12 +601,12 @@ mod tests {
         let mut pool = MemoryPool::new(&topo);
 
         let id = pool.alloc(d0, 64).unwrap();
-        pool.data_mut(id).unwrap()[7] = 42;
+        pool.write_at(id, 7, &[42]).unwrap();
         let new = pool.rebind(id, d1).unwrap();
         assert_eq!(new.dev, d1);
         assert_eq!(pool.allocated(d0), 0);
         assert_eq!(pool.allocated(d1), 64);
-        assert_eq!(pool.data(id).unwrap()[7], 42);
+        assert_eq!(read(&pool, id, 7, 1), [42]);
     }
 
     #[test]
@@ -676,31 +666,32 @@ mod tests {
     }
 
     #[test]
-    fn offset_io_works_on_dense_backing() {
-        let (mut pool, dev) = pool_with_capacity(1 << 20);
-        let id = pool.alloc(dev, 4096).unwrap();
-        pool.write_at(id, 100, b"hello").unwrap();
-        let mut buf = [0u8; 5];
-        pool.read_at(id, 100, &mut buf).unwrap();
-        assert_eq!(&buf, b"hello");
-        // data() works for dense regions.
-        assert_eq!(&pool.data(id).unwrap()[100..105], b"hello");
+    fn huge_regions_cost_nothing_until_written() {
+        let (mut pool, dev) = pool_with_capacity(1 << 30);
+        let id = pool.alloc(dev, 512 << 20).unwrap();
+        assert!(pool.slot(id).unwrap().pages.is_empty());
+        // Offset I/O works anywhere, and unwritten bytes read zero.
+        pool.write_at(id, 400 << 20, b"far out").unwrap();
+        assert_eq!(read(&pool, id, 400 << 20, 7), b"far out");
+        assert_eq!(read(&pool, id, 100 << 20, 4), [0; 4]);
     }
 
     #[test]
-    fn huge_regions_are_sparse_and_reject_contiguous_views() {
-        let (mut pool, dev) = pool_with_capacity(1 << 30);
-        let id = pool.alloc(dev, 512 << 20).unwrap();
-        assert!(matches!(pool.data(id), Err(AllocError::NotContiguous(_))));
-        assert!(matches!(pool.data_mut(id), Err(AllocError::NotContiguous(_))));
-        // But offset I/O works anywhere, and unwritten bytes read zero.
-        pool.write_at(id, 400 << 20, b"far out").unwrap();
-        let mut buf = [0u8; 7];
-        pool.read_at(id, 400 << 20, &mut buf).unwrap();
-        assert_eq!(&buf, b"far out");
-        let mut z = [9u8; 4];
-        pool.read_at(id, 100 << 20, &mut z).unwrap();
-        assert_eq!(z, [0u8; 4]);
+    fn a_region_ending_mid_page_holds_a_short_last_page() {
+        let (mut pool, dev) = pool_with_capacity(1 << 20);
+        let id = pool.alloc(dev, PAGE_SIZE + 100).unwrap();
+        pool.write_at(id, PAGE_SIZE, &[1]).unwrap();
+        let pages = &pool.slot(id).unwrap().pages;
+        assert!(pages[0].is_none(), "an unwritten page stays the zero page");
+        assert_eq!(pages[1].as_ref().map(|p| p.len()), Some(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end")]
+    fn access_past_the_end_panics() {
+        let (mut pool, dev) = pool_with_capacity(1 << 20);
+        let id = pool.alloc(dev, 100).unwrap();
+        pool.write_at(id, 98, &[1, 2, 3]).unwrap();
     }
 
     #[test]
@@ -711,24 +702,118 @@ mod tests {
         let off = (64 << 10) - 3;
         let payload: Vec<u8> = (0..9).collect();
         pool.write_at(id, off, &payload).unwrap();
-        let mut buf = vec![0u8; 9];
-        pool.read_at(id, off, &mut buf).unwrap();
-        assert_eq!(buf, payload);
+        assert_eq!(read(&pool, id, off, 9), payload);
     }
 
     #[test]
-    fn copy_between_streams_across_backings() {
+    fn copy_between_rejects_unknown_regions() {
+        let (mut pool, dev) = pool_with_capacity(1 << 20);
+        let a = pool.alloc(dev, 4096).unwrap();
+        assert!(pool.copy_between(RegionId(999), a, 1).is_err());
+        assert!(pool.copy_between(a, RegionId(999), 1).is_err());
+    }
+
+    const PAGE: usize = PAGE_SIZE as usize;
+
+    fn read(pool: &MemoryPool, id: RegionId, offset: u64, len: usize) -> Vec<u8> {
+        let mut buf = vec![0xEE; len];
+        pool.read_at(id, offset, &mut buf).unwrap();
+        buf
+    }
+
+    fn pattern(len: usize, seed: u8) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
+    }
+
+    #[test]
+    fn copies_share_pages_until_either_side_writes() {
+        let (mut pool, dev) = pool_with_capacity(1 << 24);
+        let len = 3 * PAGE;
+        let a = pool.alloc(dev, len as u64).unwrap();
+        let b = pool.alloc(dev, len as u64).unwrap();
+        let data = pattern(len, 1);
+        pool.write_at(a, 0, &data).unwrap();
+        pool.copy_between(a, b, len as u64).unwrap();
+        assert_eq!(pool.bytes_copied(), 0, "whole pages are shared");
+        assert_eq!(read(&pool, b, 0, len), data);
+
+        // Writing the destination leaves the source alone…
+        pool.write_at(b, 10, b"dst").unwrap();
+        assert_eq!(read(&pool, a, 0, len), data);
+        assert_eq!(read(&pool, b, 10, 3), b"dst");
+        assert_eq!(pool.bytes_copied(), PAGE_SIZE, "one copy-on-write fault");
+        // …and writing the source leaves the destination alone.
+        pool.write_at(a, PAGE as u64 + 5, b"src").unwrap();
+        assert_eq!(read(&pool, b, PAGE as u64, PAGE), data[PAGE..2 * PAGE]);
+        assert_eq!(read(&pool, a, PAGE as u64 + 5, 3), b"src");
+        assert_eq!(pool.bytes_copied(), 2 * PAGE_SIZE);
+        // A page written again after its fault is private: no more copies.
+        pool.write_at(b, 20, b"again").unwrap();
+        assert_eq!(pool.bytes_copied(), 2 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn unaligned_copies_memcpy_only_the_tail_page() {
+        let (mut pool, dev) = pool_with_capacity(1 << 24);
+        let len = 2 * PAGE + 1000;
+        let a = pool.alloc(dev, len as u64).unwrap();
+        // A larger destination keeps its bytes beyond the copied range.
+        let b = pool.alloc(dev, (4 * PAGE) as u64).unwrap();
+        let data = pattern(len, 7);
+        pool.write_at(a, 0, &data).unwrap();
+        pool.write_at(b, 0, &pattern(4 * PAGE, 9)).unwrap();
+        pool.copy_between(a, b, len as u64).unwrap();
+        assert_eq!(pool.bytes_copied(), 1000);
+        assert_eq!(read(&pool, b, 0, len), data);
+        assert_eq!(read(&pool, b, len as u64, 4 * PAGE - len), pattern(4 * PAGE, 9)[len..]);
+        // The tail page is the destination's own: writing it copies nothing.
+        pool.write_at(b, len as u64 - 1, &[0]).unwrap();
+        assert_eq!(pool.bytes_copied(), 1000);
+        assert_eq!(read(&pool, a, len as u64 - 1, 1), [data[len - 1]]);
+    }
+
+    #[test]
+    fn never_written_source_copies_zeros_in_constant_time() {
         let (mut pool, dev) = pool_with_capacity(1 << 30);
-        // Dense source, sparse destination.
-        let small = pool.alloc(dev, 4096).unwrap();
-        let big = pool.alloc(dev, 512 << 20).unwrap();
-        pool.write_at(small, 0, &[0xAB; 4096]).unwrap();
-        pool.copy_between(small, big, 4096).unwrap();
-        let mut buf = [0u8; 4096];
-        pool.read_at(big, 0, &mut buf).unwrap();
-        assert_eq!(buf, [0xAB; 4096]);
-        // Unknown regions are rejected.
-        assert!(pool.copy_between(RegionId(999), big, 1).is_err());
-        assert!(pool.copy_between(small, RegionId(999), 1).is_err());
+        let big = 128 << 20;
+        let a = pool.alloc(dev, big).unwrap();
+        let b = pool.alloc(dev, big).unwrap();
+        pool.copy_between(a, b, big).unwrap();
+        assert!(pool.slot(b).unwrap().pages.is_empty(), "no table materialised");
+        assert_eq!(pool.bytes_copied(), 0);
+
+        // Into a written destination, the copied range reads zero again.
+        let len = PAGE + 100;
+        let src = pool.alloc(dev, len as u64).unwrap();
+        let dst = pool.alloc(dev, (2 * PAGE) as u64).unwrap();
+        pool.write_at(dst, 0, &[0xFF; 2 * PAGE]).unwrap();
+        pool.copy_between(src, dst, len as u64).unwrap();
+        assert_eq!(read(&pool, dst, 0, len), vec![0; len]);
+        assert_eq!(read(&pool, dst, len as u64, PAGE - 100), vec![0xFF; PAGE - 100]);
+    }
+
+    #[test]
+    fn freeing_one_sharer_keeps_the_others_pages() {
+        let (mut pool, dev) = pool_with_capacity(1 << 24);
+        let len = 2 * PAGE;
+        let a = pool.alloc(dev, len as u64).unwrap();
+        let b = pool.alloc(dev, len as u64).unwrap();
+        let data = pattern(len, 3);
+        pool.write_at(a, 0, &data).unwrap();
+        pool.copy_between(a, b, len as u64).unwrap();
+        pool.free(a).unwrap();
+        assert_eq!(read(&pool, b, 0, len), data);
+        // The survivor is the pages' only holder: writing copies nothing.
+        pool.write_at(b, 0, b"mine").unwrap();
+        assert_eq!(pool.bytes_copied(), 0);
+    }
+
+    #[test]
+    fn copying_a_region_onto_itself_is_a_no_op() {
+        let (mut pool, dev) = pool_with_capacity(1 << 20);
+        let a = pool.alloc(dev, 300).unwrap();
+        pool.write_at(a, 0, &[4; 300]).unwrap();
+        pool.copy_between(a, a, 300).unwrap();
+        assert_eq!(read(&pool, a, 0, 300), [4; 300]);
     }
 }

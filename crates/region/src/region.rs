@@ -349,26 +349,19 @@ impl RegionManager {
         Ok(dev)
     }
 
-    /// Borrows a region's bytes read-only (zero-copy view for owners).
-    /// Only contiguous (dense-backed) regions support this; regions above
-    /// [`crate::pool::DENSE_BACKING_LIMIT`] must use [`RegionManager::read`].
-    pub fn bytes(&self, id: RegionId, who: OwnerId) -> Result<&[u8], RegionError> {
+    /// Reads a whole region into a new buffer, enforcing ownership.
+    pub fn to_vec(&self, id: RegionId, who: OwnerId) -> Result<Vec<u8>, RegionError> {
         self.check_access(id, who)?;
-        Ok(self.pool.data(id)?)
-    }
-
-    /// Borrows a region's bytes mutably (zero-copy view for owners).
-    /// Dense-backed regions only; see [`RegionManager::bytes`].
-    pub fn bytes_mut(&mut self, id: RegionId, who: OwnerId) -> Result<&mut [u8], RegionError> {
-        self.check_access(id, who)?;
-        Ok(self.pool.data_mut(id)?)
+        let mut out = vec![0; self.pool.placement(id)?.size as usize];
+        self.pool.read_at(id, 0, &mut out)?;
+        Ok(out)
     }
 
     /// Copies the full contents of `src` into `dst` (both must be live;
-    /// `dst` must be at least as large). Streams in bounded chunks, so it
-    /// works for sparse-backed regions of any size. Ownership checks are
-    /// the caller's job — this is runtime-internal plumbing for handover
-    /// copies and migrations.
+    /// `dst` must be at least as large). Whole pages are shared copy on
+    /// write, so this costs metadata, not bytes. Ownership checks are the
+    /// caller's job — this is runtime-internal plumbing for handover
+    /// copies and replication.
     pub fn copy_contents(&mut self, src: RegionId, dst: RegionId) -> Result<u64, RegionError> {
         let len = self.pool.placement(src)?.size;
         let dst_size = self.pool.placement(dst)?.size;
@@ -695,11 +688,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_views_respect_ownership() {
+    fn to_vec_respects_ownership() {
         let (_topo, mut mgr, dram, _) = setup();
         let id = alloc(&mut mgr, dram, RegionType::Output, T0);
-        mgr.bytes_mut(id, T0).unwrap()[0] = 5;
-        assert_eq!(mgr.bytes(id, T0).unwrap()[0], 5);
-        assert!(mgr.bytes(id, T1).is_err());
+        mgr.write(id, T0, 0, &[5]).unwrap();
+        assert_eq!(mgr.to_vec(id, T0).unwrap()[0], 5);
+        assert!(mgr.to_vec(id, T1).is_err());
     }
 }

@@ -10,7 +10,8 @@
 //!   bookkeeping, zero bytes on any wire.
 //! - **Physical copy**: otherwise (or under the `AlwaysCopy` baseline of
 //!   experiment E7), a new region is allocated near the consumer and the
-//!   bytes are copied at full transfer cost.
+//!   bytes are copied at full transfer cost in virtual time. On the host
+//!   the copy shares the source's pages copy on write.
 //!
 //! The manager also implements release-on-last-owner cleanup for task
 //! exit.
@@ -144,7 +145,6 @@ impl LifetimeManager {
         let placement = mgr.placement(region)?;
         let meta = mgr.meta(region)?;
         let props = meta.props.clone();
-        let src_owner = meta.ownership.owners()[0];
 
         let dst_dev = engine
             .choose(topo, mgr.pool(), consumer_compute, &props, placement.size)
@@ -155,8 +155,8 @@ impl LifetimeManager {
             }))?;
         let new = mgr.alloc(dst_dev, placement.size, RegionType::Input, props, to, now)?;
 
-        // Real byte copy, streamed so arbitrarily large regions work.
-        let _ = src_owner;
+        // The new region shares the source's pages copy on write, so the
+        // host copies nothing up front; the rack's cost is charged below.
         mgr.copy_contents(region, new)?;
 
         // Charge the physical movement on both devices and trace it.
@@ -264,7 +264,7 @@ mod tests {
         assert_eq!(o.bytes_copied, 0);
         assert_eq!(o.region, out);
         assert_eq!(o.took, TRANSFER_OVERHEAD);
-        assert_eq!(&mgr.bytes(out, C).unwrap()[..64], &[0xEE; 64]);
+        assert_eq!(&mgr.to_vec(out, C).unwrap()[..64], &[0xEE; 64]);
         assert_eq!(trace.bytes_transferred_by_ownership(), 1 << 20);
         assert_eq!(trace.bytes_moved(), 0);
     }
@@ -290,7 +290,7 @@ mod tests {
         assert_eq!(o.bytes_copied, 1 << 20);
         assert_ne!(o.region, out);
         assert!(o.took > TRANSFER_OVERHEAD);
-        assert_eq!(&mgr.bytes(o.region, C).unwrap()[..32], &[0xAB; 32]);
+        assert_eq!(&mgr.to_vec(o.region, C).unwrap()[..32], &[0xAB; 32]);
         // Producer's region was released.
         assert!(!mgr.is_live(out));
         assert_eq!(trace.bytes_moved(), 1 << 20);
@@ -332,7 +332,7 @@ mod tests {
             .unwrap();
         assert!(!o.transferred, "cpu1 cannot address d0; must copy");
         assert_eq!(mgr.placement(o.region).unwrap().dev, d1);
-        assert_eq!(&mgr.bytes(o.region, C).unwrap()[..8], &[7; 8]);
+        assert_eq!(&mgr.to_vec(o.region, C).unwrap()[..8], &[7; 8]);
     }
 
     #[test]
@@ -362,7 +362,43 @@ mod tests {
         assert!(!o2.transferred);
         assert!(mgr.is_live(out));
         assert!(mgr.is_live(o2.region));
-        assert_eq!(&mgr.bytes(o2.region, c2).unwrap()[..16], &[3; 16]);
+        assert_eq!(&mgr.to_vec(o2.region, c2).unwrap()[..16], &[3; 16]);
+    }
+
+    #[test]
+    fn fan_out_copies_share_pages_until_written() {
+        use disagg_region::pool::PAGE_SIZE;
+        let (topo, rack) = disaggregated_rack(2, 32, 2, 512);
+        let mut mgr = RegionManager::new(&topo);
+        let mut ledger = BandwidthLedger::default_buckets();
+        let mut trace = Trace::disabled();
+        let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);
+        let lm = LifetimeManager::default();
+        let mut fan_out = |mgr: &mut RegionManager, out, to| {
+            lm.copy_to(mgr, &topo, &mut ledger, &mut trace, &mut engine, out, None, to, rack.cpus[1], SimTime::ZERO)
+                .unwrap()
+                .region
+        };
+
+        // A never-written 128 MiB output copies no bytes at all.
+        let big = mgr
+            .alloc(rack.pool[0], 128 << 20, RegionType::Output, PropertySet::new(), P, SimTime::ZERO)
+            .unwrap();
+        fan_out(&mut mgr, big, C);
+        assert_eq!(mgr.pool().bytes_copied(), 0);
+
+        // A written one shares its pages; one later write copies one page.
+        let out = mgr
+            .alloc(rack.pool[0], 2 * PAGE_SIZE, RegionType::Output, PropertySet::new(), P, SimTime::ZERO)
+            .unwrap();
+        mgr.write(out, P, 0, &vec![9; 2 * PAGE_SIZE as usize]).unwrap();
+        let c2 = OwnerId::Task { job: 0, task: 2 };
+        let copy = fan_out(&mut mgr, out, c2);
+        assert_eq!(mgr.pool().bytes_copied(), 0);
+        mgr.write(copy, c2, 5, &[1]).unwrap();
+        assert_eq!(mgr.pool().bytes_copied(), PAGE_SIZE);
+        assert_eq!(mgr.to_vec(out, P).unwrap()[5], 9, "the producer's bytes are untouched");
+        assert_eq!(mgr.to_vec(copy, c2).unwrap()[5], 1);
     }
 
     #[test]

@@ -650,6 +650,7 @@ fn merge_runs(into: &mut RunReport, epoch: RunReport) {
     into.tasks.extend(epoch.tasks);
     into.bytes_moved += epoch.bytes_moved;
     into.bytes_ownership_transferred += epoch.bytes_ownership_transferred;
+    into.host_bytes_copied += epoch.host_bytes_copied;
     into.ownership_transfers += epoch.ownership_transfers;
     into.handover_copies += epoch.handover_copies;
     into.placements.extend(epoch.placements);

@@ -41,9 +41,8 @@ pub fn final_output(rt: &Runtime, report: &RunReport, job: JobId, task_name: &st
         .find(|(k, _, _)| *k == "output")
         .unwrap_or_else(|| panic!("task '{task_name}' has no output placement"));
     rt.manager()
-        .bytes(*region, OwnerId::App)
+        .to_vec(*region, OwnerId::App)
         .unwrap_or_else(|e| panic!("output of '{task_name}' unreadable: {e}"))
-        .to_vec()
 }
 
 /// Decodes a count-prefixed payload from raw region bytes.

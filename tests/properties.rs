@@ -300,7 +300,7 @@ fn region_rw_round_trips() {
         let payload = random_bytes(rng, payload_len);
         let (topo, ids) = single_server();
         let mut mgr = RegionManager::new(&topo);
-        let size = region_mib << 20; // Crosses the 64 MiB dense/sparse divide.
+        let size = region_mib << 20; // Page tables of 16 to 2048 pages.
         let r = mgr
             .alloc(
                 ids.cxl,
@@ -316,6 +316,72 @@ fn region_rw_round_trips() {
         let mut buf = vec![0u8; payload.len()];
         mgr.read(r, OwnerId::App, offset, &mut buf).unwrap();
         assert_eq!(buf, payload);
+    });
+}
+
+/// The copy-on-write page store agrees byte for byte with a flat
+/// `Vec<u8>` per region through random writes, copies (page-aligned or
+/// not, into larger or smaller regions) and free/reallocate cycles.
+#[test]
+fn page_store_matches_a_flat_byte_model() {
+    use disagg::region::pool::PAGE_SIZE;
+    for_cases("page_store_matches_a_flat_byte_model", 16, 256, |rng| {
+        let (mut pool, dev) = small_pool(64 << 20);
+        let page = PAGE_SIZE as usize;
+        let alloc = |pool: &mut MemoryPool, rng: &mut SimRng| {
+            // Exact page multiples half the time, ragged sizes otherwise.
+            let pages = rng.range(1, 5) as usize;
+            let size = if rng.chance(0.5) {
+                pages * page
+            } else {
+                pages * page - rng.range(1, page as u64) as usize
+            };
+            (pool.alloc(dev, size as u64).unwrap(), vec![0u8; size])
+        };
+        let mut regions: Vec<_> = (0..4).map(|_| alloc(&mut pool, rng)).collect();
+        let n_ops = rng.range(20, 80);
+        for _ in 0..n_ops {
+            let i = rng.next_below(regions.len() as u64) as usize;
+            match rng.next_below(4) {
+                0 => {
+                    let size = regions[i].1.len();
+                    let off = rng.next_below(size as u64) as usize;
+                    let len = rng.range(1, (size - off).min(2 * page) as u64 + 1) as usize;
+                    let data = random_bytes(rng, len);
+                    pool.write_at(regions[i].0, off as u64, &data).unwrap();
+                    regions[i].1[off..off + len].copy_from_slice(&data);
+                }
+                1 => {
+                    let j = rng.next_below(regions.len() as u64) as usize;
+                    let max = regions[i].1.len().min(regions[j].1.len());
+                    let len = if rng.chance(0.3) {
+                        max
+                    } else {
+                        rng.range(0, max as u64 + 1) as usize
+                    };
+                    pool.copy_between(regions[i].0, regions[j].0, len as u64).unwrap();
+                    let src = regions[i].1[..len].to_vec();
+                    regions[j].1[..len].copy_from_slice(&src);
+                }
+                2 => {
+                    pool.free(regions[i].0).unwrap();
+                    regions[i] = alloc(&mut pool, rng);
+                }
+                _ => {
+                    let size = regions[i].1.len();
+                    let off = rng.next_below(size as u64) as usize;
+                    let len = rng.range(1, (size - off) as u64 + 1) as usize;
+                    let mut buf = vec![0xA5; len];
+                    pool.read_at(regions[i].0, off as u64, &mut buf).unwrap();
+                    assert_eq!(buf, regions[i].1[off..off + len]);
+                }
+            }
+        }
+        for (id, model) in &regions {
+            let mut buf = vec![0xA5; model.len()];
+            pool.read_at(*id, 0, &mut buf).unwrap();
+            assert_eq!(&buf, model);
+        }
     });
 }
 

@@ -323,6 +323,8 @@ pub(crate) fn run_wave(
     let audit_mark = rt.auditor.violations.len();
     let denial_mark = rt.auditor.denials;
     let copied_mark = rt.mgr.pool().bytes_copied();
+    let moved_mark = rt.trace.bytes_moved();
+    let transferred_mark = rt.trace.bytes_transferred_by_ownership();
     let job_ids: Vec<JobId> = jobs
         .iter()
         .map(|_| {
@@ -536,8 +538,9 @@ pub(crate) fn run_wave(
     let mut report = w.report;
     report.events = w.events;
     report.makespan = end - t0;
-    report.bytes_moved = rt.trace.bytes_moved();
-    report.bytes_ownership_transferred = rt.trace.bytes_transferred_by_ownership();
+    report.bytes_moved = rt.trace.bytes_moved() - moved_mark;
+    report.bytes_ownership_transferred =
+        rt.trace.bytes_transferred_by_ownership() - transferred_mark;
     report.host_bytes_copied = rt.mgr.pool().bytes_copied() - copied_mark;
     report.placements = std::mem::take(&mut rt.engine.decisions);
     report.violations = rt.auditor.violations[audit_mark..].to_vec();

@@ -3,6 +3,7 @@
 use disagg_core::prelude::*;
 use disagg_hwsim::fault::{FaultEvent, FaultInjector, FaultKind};
 use disagg_hwsim::presets::{disaggregated_rack, single_server};
+use disagg_hwsim::trace::TraceEvent;
 
 fn passthrough(bytes: usize) -> impl Fn(&mut TaskCtx<'_, '_>) -> Result<(), TaskError> {
     move |ctx| {
@@ -99,6 +100,43 @@ fn bytes_moved_is_the_same_traced_or_not() {
     let traced = run(RuntimeConfig::traced());
     assert!(traced > 0);
     assert_eq!(run(RuntimeConfig::default()), traced);
+}
+
+#[test]
+fn byte_counters_are_per_wave_and_match_the_trace() {
+    // Two waves on one runtime: each report counts only its own wave,
+    // the two add up to the trace's totals, and an untraced runtime
+    // reports the same values.
+    let run = |config: RuntimeConfig| {
+        let mut rt = Runtime::new(two_workers(), config);
+        let waves: Vec<(u64, u64)> = (0..2)
+            .map(|_| {
+                let r = rt.execute(diamond_job()).unwrap();
+                (r.bytes_moved, r.bytes_ownership_transferred)
+            })
+            .collect();
+        (waves, rt.trace().events().to_vec())
+    };
+    let (traced, events) = run(RuntimeConfig::traced());
+    assert_eq!(traced[0], traced[1], "identical waves count identical bytes");
+    assert!(traced[0].0 > 0 && traced[0].1 > 0);
+    let moved: u64 = events
+        .iter()
+        .map(|e| match *e {
+            TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } => bytes,
+            _ => 0,
+        })
+        .sum();
+    let transferred: u64 = events
+        .iter()
+        .map(|e| match *e {
+            TraceEvent::OwnershipTransfer { bytes, .. } => bytes,
+            _ => 0,
+        })
+        .sum();
+    assert_eq!((traced[0].0 + traced[1].0, traced[0].1 + traced[1].1), (moved, transferred));
+    let (untraced, _) = run(RuntimeConfig::default());
+    assert_eq!(untraced, traced);
 }
 
 #[test]
@@ -680,7 +718,7 @@ fn app_published_confidential_regions_stay_isolated() {
         let r = ctx.lookup("leaky").ok_or_else(|| TaskError::new("gone"))?;
         let mut buf = [0u8; 10];
         match ctx.async_read(r, 0, &mut buf) {
-            Err(e) => Err(TaskError::from(e)),
+            Err(e) => Err(e),
             Ok(_) => Ok(()),
         }
     }));
@@ -898,7 +936,6 @@ fn every_queue_policy_runs_the_full_dag() {
 
 #[test]
 fn dispatch_is_visible_in_the_trace() {
-    use disagg_hwsim::trace::TraceEvent;
     let mut rt = Runtime::new(two_workers(), RuntimeConfig::traced());
     rt.execute(diamond_job()).unwrap();
     let queued = rt

@@ -22,6 +22,12 @@
 //! reservation); an access that lands on a quantum already evicted by a
 //! newer alias falls back to a spill map, so accounting never corrupts
 //! newer buckets.
+//!
+//! A ring is stored in fixed 64-slot chunks, each allocated the first
+//! time one of its slots is touched. Most resources are charged in a
+//! handful of buckets per runtime, so allocating and zeroing a full
+//! 4,096-slot (96 KiB) ring for each of them cost more than the
+//! reservations it served.
 
 use crate::fx::FxHashMap;
 use crate::ids::{ComputeId, LinkId, MemDeviceId};
@@ -61,6 +67,11 @@ const EMPTY: u64 = u64::MAX;
 /// reservation spans more.
 const INITIAL_SLOTS: usize = 4096;
 
+/// Ring slots per chunk. A ring is allocated one chunk at a time, on
+/// first touch, so a resource touched in a few buckets costs a few
+/// chunks, not the whole ring.
+const CHUNK: usize = 64;
+
 /// One time bucket of one resource.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
@@ -81,8 +92,9 @@ impl Slot {
 /// Per-resource ring of bucket state plus aggregate statistics.
 #[derive(Debug)]
 struct Lane {
-    /// Power-of-two ring; slot for quantum `q` is `q & mask`.
-    slots: Vec<Slot>,
+    /// Power-of-two ring in [`CHUNK`]-slot chunks (`None` = never
+    /// touched, all slots empty); slot for quantum `q` is `q & mask`.
+    chunks: Vec<Option<Box<[Slot; CHUNK]>>>,
     mask: u64,
     /// Spill storage for quanta whose ring slot was already claimed by a
     /// *newer* alias (only reachable if a reservation jumps further back
@@ -95,11 +107,16 @@ struct Lane {
 impl Lane {
     fn new() -> Lane {
         Lane {
-            slots: vec![Slot::empty(); INITIAL_SLOTS],
+            chunks: vec![None; INITIAL_SLOTS / CHUNK],
             mask: INITIAL_SLOTS as u64 - 1,
             spill: FxHashMap::default(),
             stats: ResourceStats::default(),
         }
+    }
+
+    /// Ring slot `i`, allocating its chunk on first touch.
+    fn ring_mut(chunks: &mut [Option<Box<[Slot; CHUNK]>>], i: usize) -> &mut Slot {
+        &mut chunks[i / CHUNK].get_or_insert_with(|| Box::new([Slot::empty(); CHUNK]))[i % CHUNK]
     }
 
     /// Ensures the ring can hold `span` consecutive quanta without
@@ -112,34 +129,30 @@ impl Lane {
         while span.saturating_mul(2) > cap {
             cap = cap.saturating_mul(2);
         }
-        let mut slots = vec![Slot::empty(); cap as usize];
-        let mask = cap - 1;
-        for s in self.slots.drain(..) {
+        let old = std::mem::replace(&mut self.chunks, vec![None; cap as usize / CHUNK]);
+        self.mask = cap - 1;
+        for s in old.iter().flatten().flat_map(|c| c.iter()) {
             if s.quantum != EMPTY {
-                slots[(s.quantum & mask) as usize] = s;
+                *Lane::ring_mut(&mut self.chunks, (s.quantum & self.mask) as usize) = *s;
             }
         }
-        self.slots = slots;
-        self.mask = mask;
     }
 
     /// The live bucket state for quantum `q`, lazily evicting an expired
     /// older occupant of the same ring slot.
     fn slot_mut(&mut self, q: u64) -> &mut Slot {
-        let i = (q & self.mask) as usize;
-        let held = self.slots[i].quantum;
-        if held == q {
-            return &mut self.slots[i];
+        let slot = Lane::ring_mut(&mut self.chunks, (q & self.mask) as usize);
+        if slot.quantum != EMPTY && slot.quantum > q {
+            // The slot holds a *newer* quantum: serve the old one from
+            // spill so we never clobber live future state.
+            return self.spill.entry(q).or_insert(Slot { quantum: q, ..Slot::empty() });
         }
-        if held == EMPTY || held < q {
+        if slot.quantum != q {
             // Lazy eviction: the older quantum can never affect a future
             // reservation once a newer alias claims the slot.
-            self.slots[i] = Slot { quantum: q, ..Slot::empty() };
-            return &mut self.slots[i];
+            *slot = Slot { quantum: q, ..Slot::empty() };
         }
-        // The slot holds a *newer* quantum: serve the old one from spill
-        // so we never clobber live future state.
-        self.spill.entry(q).or_insert(Slot { quantum: q, ..Slot::empty() })
+        slot
     }
 }
 
@@ -415,8 +428,39 @@ mod tests {
         assert_eq!(f1, SimTime(far.as_nanos() + 1_000));
         let f2 = ledger.reserve(DEV, SimTime(0), 10_000.0, 10.0);
         assert_eq!(f2, SimTime(1_000));
+        assert_eq!(ledger.lanes[0].spill.len(), 1, "the old quantum went to spill");
         let f3 = ledger.reserve(DEV, far, 10_000.0, 10.0);
         assert_eq!(f3, SimTime(far.as_nanos() + 2_000), "future bucket kept its charge");
+    }
+
+    /// Chunks the ring of the ledger's only lane has allocated.
+    fn chunks_in_use(ledger: &BandwidthLedger) -> usize {
+        ledger.lanes[0].chunks.iter().flatten().count()
+    }
+
+    #[test]
+    fn a_lane_touched_in_one_bucket_allocates_one_chunk() {
+        let mut ledger = BandwidthLedger::new(1_000);
+        ledger.reserve(DEV, SimTime(5_000_000), 100.0, 10.0);
+        assert_eq!(chunks_in_use(&ledger), 1);
+        assert_eq!(ledger.lanes[0].chunks.len(), INITIAL_SLOTS / CHUNK);
+    }
+
+    #[test]
+    fn ring_growth_keeps_live_slots() {
+        let mut ledger = BandwidthLedger::new(1_000);
+        // Half-fill bucket 0, then grow the ring with a reservation that
+        // spans 10_000 buckets starting at bucket 100.
+        ledger.reserve(DEV, SimTime(0), 5_000.0, 10.0);
+        ledger.reserve(DEV, SimTime(100_000), 100_000_000.0, 10.0);
+        assert!(ledger.lanes[0].mask + 1 > INITIAL_SLOTS as u64, "ring grew");
+        // Bucket 0 kept its charge: 5_000 more bytes fit there, the rest
+        // queue into bucket 1.
+        let f = ledger.reserve(DEV, SimTime(0), 10_000.0, 10.0);
+        assert_eq!(f, SimTime(1_500));
+        // Bucket 100 onward kept the long transfer's charge.
+        let g = ledger.reserve(DEV, SimTime(100_000), 10_000.0, 10.0);
+        assert_eq!(g, SimTime(10_101_000));
     }
 
     #[test]

@@ -126,7 +126,7 @@ mod tests {
         m.insert("b".into(), 2);
         assert_eq!(m.get("a"), Some(&1));
         assert_eq!(m.remove("b"), Some(2));
-        assert!(m.get("b").is_none());
+        assert!(!m.contains_key("b"));
         assert_eq!(m.len(), 1);
     }
 }

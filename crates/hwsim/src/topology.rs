@@ -15,6 +15,7 @@
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::compute::ComputeModel;
@@ -224,6 +225,8 @@ pub struct Topology {
     /// Resolved paths, shared by every topology built from the same
     /// link graph.
     paths: Arc<PathTables>,
+    /// Unique per [`TopologyBuilder::build`] call; clones share it.
+    build_id: u64,
 }
 
 /// The all-pairs paths of one link graph.
@@ -240,6 +243,9 @@ struct PathTables {
 /// then skips the Dijkstra runs.
 const PATH_CACHE_GRAPHS: usize = 4;
 
+/// Source of [`Topology::build_id`] values.
+static NEXT_BUILD_ID: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
     static PATH_CACHE: RefCell<Vec<(Vec<u64>, Arc<PathTables>)>> =
         const { RefCell::new(Vec::new()) };
@@ -249,6 +255,13 @@ impl Topology {
     /// Starts building a topology.
     pub fn builder() -> TopologyBuilder {
         TopologyBuilder::default()
+    }
+
+    /// Identifies this topology's build. A topology never changes after
+    /// [`TopologyBuilder::build`], so anything derived from it alone may
+    /// be cached under this id; clones share it, rebuilds do not.
+    pub fn build_id(&self) -> u64 {
+        self.build_id
     }
 
     /// All nodes.
@@ -604,6 +617,8 @@ impl TopologyBuilder {
             compute_node: self.compute_node,
             mem_node: self.mem_node,
             paths,
+            // Relaxed: the counter only hands out distinct values.
+            build_id: NEXT_BUILD_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
 }
@@ -717,6 +732,8 @@ mod tests {
         let ((a, cpu, dram), (b, _, _), (c, _, _)) = (pair(1.0), pair(1.0), pair(2.0));
         assert!(Arc::ptr_eq(&a.paths, &b.paths));
         assert!(!Arc::ptr_eq(&a.paths, &c.paths), "one latency differs");
+        assert_ne!(a.build_id(), b.build_id(), "shared paths, separate builds");
+        assert_eq!(a.clone().build_id(), a.build_id());
         assert_eq!(a.path(cpu, dram).unwrap().latency_ns, 1.0);
         assert_eq!(c.path(cpu, dram).unwrap().latency_ns, 2.0);
     }

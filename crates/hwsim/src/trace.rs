@@ -281,6 +281,8 @@ pub struct Trace {
     tap: Option<TraceTap>,
     /// Access and migration bytes of every pushed event, buffered or not.
     moved: u64,
+    /// Ownership-transfer bytes of every pushed event, buffered or not.
+    transferred: u64,
 }
 
 impl std::fmt::Debug for Trace {
@@ -290,6 +292,7 @@ impl std::fmt::Debug for Trace {
             .field("enabled", &self.enabled)
             .field("tap", &self.tap.as_ref().map(|_| "..."))
             .field("moved", &self.moved)
+            .field("transferred", &self.transferred)
             .finish()
     }
 }
@@ -325,11 +328,15 @@ impl Trace {
         self.tap.is_some()
     }
 
-    /// Records an event: counts its moved bytes, streams it to the tap
-    /// (if installed), then buffers it (if enabled).
+    /// Records an event: counts its moved or transferred bytes, streams
+    /// it to the tap (if installed), then buffers it (if enabled).
     pub fn push(&mut self, event: TraceEvent) {
-        if let TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } = event {
-            self.moved += bytes;
+        match event {
+            TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } => {
+                self.moved += bytes;
+            }
+            TraceEvent::OwnershipTransfer { bytes, .. } => self.transferred += bytes,
+            _ => {}
         }
         if let Some(tap) = &mut self.tap {
             tap(&event);
@@ -361,15 +368,11 @@ impl Trace {
         self.moved
     }
 
-    /// Total bytes whose movement was *avoided* by ownership transfer.
+    /// Total bytes whose movement was *avoided* by ownership transfer
+    /// since the trace was made or last cleared, counted whether or not
+    /// events are buffered.
     pub fn bytes_transferred_by_ownership(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match *e {
-                TraceEvent::OwnershipTransfer { bytes, .. } => bytes,
-                _ => 0,
-            })
-            .sum()
+        self.transferred
     }
 
     /// Count of events matching a predicate.
@@ -393,10 +396,11 @@ impl Trace {
         acc.into_iter().collect()
     }
 
-    /// Clears all events and the moved-bytes count.
+    /// Clears all events and the moved- and transferred-bytes counts.
     pub fn clear(&mut self) {
         self.events.clear();
         self.moved = 0;
+        self.transferred = 0;
     }
 
     /// Renders the trace as CSV (`kind,at_ns,detail...`) for offline
@@ -567,9 +571,18 @@ mod tests {
                 at: SimTime(0),
                 took: SimDuration(1),
             });
+            t.push(TraceEvent::OwnershipTransfer {
+                region: 2,
+                from_task: 0,
+                to_task: 1,
+                bytes: 30,
+                at: SimTime(0),
+            });
             assert_eq!(t.bytes_moved(), 114);
+            assert_eq!(t.bytes_transferred_by_ownership(), 30);
             t.clear();
             assert_eq!(t.bytes_moved(), 0);
+            assert_eq!(t.bytes_transferred_by_ownership(), 0);
         }
     }
 

@@ -172,11 +172,38 @@ pub struct RegionTemperature {
     pub heat_bytes: u8,
 }
 
+/// The per-device counters [`MetricsRegistry::record`] feeds, as
+/// `(prefix, suffix)` of their names: device `id`'s counter is named
+/// `{prefix}{id}{suffix}`.
+const DEVICE_COUNTERS: [(&str, &str); 6] = [
+    ("dev.mem", ".allocs"),
+    ("dev.mem", ".bytes"),
+    ("dev.cpu", ".dispatches"),
+    ("dev.cpu", ".tasks"),
+    ("dev.cpu", ".faults"),
+    ("node", ".breaker.trips"),
+];
+const MEM_ALLOCS: usize = 0;
+const MEM_BYTES: usize = 1;
+const CPU_DISPATCHES: usize = 2;
+const CPU_TASKS: usize = 3;
+const CPU_FAULTS: usize = 4;
+const NODE_BREAKER_TRIPS: usize = 5;
+
 /// Counters + histograms keyed by name, plus per-region per-epoch
 /// access temperatures.
+///
+/// The per-device counters [`record`](Self::record) feeds live in
+/// arrays indexed by device id and are named only when read
+/// ([`snapshot`](Self::snapshot), [`counter`](Self::counter)); reads
+/// see exactly what one name-keyed map would hold.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
+    /// Per-device counters, indexed like [`DEVICE_COUNTERS`] and then
+    /// by device id (`None` = never incremented). A name given to
+    /// [`incr`](Self::incr) lands in `counters` and reads as the sum.
+    devices: [Vec<Option<u64>>; DEVICE_COUNTERS.len()],
     histograms: BTreeMap<String, Histogram>,
     /// `(region, epoch) -> (accesses, bytes)`, ordered for determinism.
     temps: BTreeMap<(u64, u64), (u64, u64)>,
@@ -208,9 +235,35 @@ impl MetricsRegistry {
         }
     }
 
+    /// Adds `by` to a per-device counter (creating it at 0).
+    fn incr_device(&mut self, counter: usize, id: u32, by: u64) {
+        let ids = &mut self.devices[counter];
+        let i = id as usize;
+        if ids.len() <= i {
+            ids.resize(i + 1, None);
+        }
+        *ids[i].get_or_insert(0) += by;
+    }
+
+    /// The per-device counter `name` names, if any: `(counter, id)`.
+    fn device_counter(name: &str) -> Option<(usize, usize)> {
+        DEVICE_COUNTERS
+            .iter()
+            .enumerate()
+            .find_map(|(counter, &(prefix, suffix))| {
+                let id = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
+                // Only the canonical spelling: no sign, no leading zeros.
+                let n: u32 = id.parse().ok().filter(|n: &u32| n.to_string() == id)?;
+                Some((counter, n as usize))
+            })
+    }
+
     /// Current counter value (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        let named = self.counters.get(name).copied().unwrap_or(0);
+        let device = Self::device_counter(name)
+            .and_then(|(counter, id)| self.devices[counter].get(id).copied().flatten());
+        named + device.unwrap_or(0)
     }
 
     /// The histogram by name.
@@ -228,21 +281,21 @@ impl MetricsRegistry {
                 self.incr("events.alloc", 1);
                 self.incr("bytes.allocated", bytes);
                 self.observe("alloc_bytes", bytes);
-                self.incr(&format!("dev.mem{}.allocs", dev.0), 1);
+                self.incr_device(MEM_ALLOCS, dev.0, 1);
             }
             TraceEvent::Free { .. } => self.incr("events.free", 1),
             TraceEvent::Access { region, dev, bytes, at, took, .. } => {
                 self.incr("events.access", 1);
                 self.incr("bytes.moved", bytes);
-                self.incr(&format!("dev.mem{}.bytes", dev.0), bytes);
+                self.incr_device(MEM_BYTES, dev.0, bytes);
                 self.observe("access_ns", took.as_nanos());
                 self.touch_region(region, at.as_nanos(), bytes);
             }
             TraceEvent::Migrate { region, from, to, bytes, at, took } => {
                 self.incr("events.migrate", 1);
                 self.incr("bytes.moved", bytes);
-                self.incr(&format!("dev.mem{}.bytes", from.0), bytes);
-                self.incr(&format!("dev.mem{}.bytes", to.0), bytes);
+                self.incr_device(MEM_BYTES, from.0, bytes);
+                self.incr_device(MEM_BYTES, to.0, bytes);
                 self.observe("migrate_bytes", bytes);
                 self.observe("migrate_ns", took.as_nanos());
                 self.touch_region(region, at.as_nanos(), bytes);
@@ -255,18 +308,18 @@ impl MetricsRegistry {
             TraceEvent::TaskQueued { .. } => self.incr("events.task_queued", 1),
             TraceEvent::TaskDispatch { on, waited, .. } => {
                 self.incr("events.task_dispatch", 1);
-                self.incr(&format!("dev.cpu{}.dispatches", on.0), 1);
+                self.incr_device(CPU_DISPATCHES, on.0, 1);
                 self.observe("queue_wait_ns", waited.as_nanos());
             }
             TraceEvent::TaskStart { on, .. } => {
                 self.incr("events.task_start", 1);
-                self.incr(&format!("dev.cpu{}.tasks", on.0), 1);
+                self.incr_device(CPU_TASKS, on.0, 1);
             }
             TraceEvent::TaskFinish { .. } => self.incr("events.task_finish", 1),
             TraceEvent::FaultDetected { on, .. } => {
                 self.incr("events.fault_detected", 1);
                 self.incr("faults.detected", 1);
-                self.incr(&format!("dev.cpu{}.faults", on.0), 1);
+                self.incr_device(CPU_FAULTS, on.0, 1);
             }
             TraceEvent::TaskRetry { lost, .. } => {
                 self.incr("events.task_retry", 1);
@@ -283,7 +336,7 @@ impl MetricsRegistry {
             TraceEvent::BreakerTrip { node, .. } => {
                 self.incr("events.breaker_trip", 1);
                 self.incr("breaker.trips", 1);
-                self.incr(&format!("node{}.breaker.trips", node.0), 1);
+                self.incr_device(NODE_BREAKER_TRIPS, node.0, 1);
             }
             TraceEvent::BreakerProbe { .. } => {
                 self.incr("events.breaker_probe", 1);
@@ -333,11 +386,17 @@ impl MetricsRegistry {
     /// An immutable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, &v)| (k.clone(), v))
-                .collect(),
+            counters: {
+                let mut all = self.counters.clone();
+                for (&(prefix, suffix), ids) in DEVICE_COUNTERS.iter().zip(&self.devices) {
+                    for (id, v) in ids.iter().enumerate() {
+                        if let Some(v) = v {
+                            *all.entry(format!("{prefix}{id}{suffix}")).or_insert(0) += v;
+                        }
+                    }
+                }
+                all.into_iter().collect()
+            },
             histograms: self
                 .histograms
                 .iter()
@@ -488,7 +547,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use disagg_hwsim::device::AccessOp;
-    use disagg_hwsim::ids::{ComputeId, MemDeviceId};
+    use disagg_hwsim::ids::{ComputeId, MemDeviceId, NodeId};
     use disagg_hwsim::time::{SimDuration, SimTime};
 
     #[test]
@@ -646,5 +705,152 @@ mod tests {
         assert!(json.contains("\"log2_buckets\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(s1.render().contains("p50<="));
+    }
+    /// Counter increments and histogram samples, by name.
+    type Named = (Vec<(String, u64)>, Vec<(&'static str, u64)>);
+
+    /// The counters and histogram samples one event fed when `record`
+    /// kept every metric in a name-keyed map.
+    fn named_metrics(e: &TraceEvent) -> Named {
+        let c = |name: &str, by: u64| (name.to_string(), by);
+        let dev = |prefix: &str, id: u32, suffix: &str, by: u64| (format!("{prefix}{id}{suffix}"), by);
+        let (mut counters, hists) = match *e {
+            TraceEvent::Alloc { dev: d, bytes, .. } => (
+                vec![c("events.alloc", 1), c("bytes.allocated", bytes), dev("dev.mem", d.0, ".allocs", 1)],
+                vec![("alloc_bytes", bytes)],
+            ),
+            TraceEvent::Free { .. } => (vec![c("events.free", 1)], vec![]),
+            TraceEvent::Access { dev: d, bytes, took, .. } => (
+                vec![c("events.access", 1), c("bytes.moved", bytes), dev("dev.mem", d.0, ".bytes", bytes)],
+                vec![("access_ns", took.as_nanos())],
+            ),
+            TraceEvent::Migrate { from, to, bytes, took, .. } => (
+                vec![
+                    c("events.migrate", 1),
+                    c("bytes.moved", bytes),
+                    dev("dev.mem", from.0, ".bytes", bytes),
+                    dev("dev.mem", to.0, ".bytes", bytes),
+                ],
+                vec![("migrate_bytes", bytes), ("migrate_ns", took.as_nanos())],
+            ),
+            TraceEvent::OwnershipTransfer { bytes, .. } => (
+                vec![c("events.transfer", 1), c("bytes.ownership", bytes)],
+                vec![("transfer_bytes", bytes)],
+            ),
+            TraceEvent::TaskQueued { .. } => (vec![c("events.task_queued", 1)], vec![]),
+            TraceEvent::TaskDispatch { on, waited, .. } => (
+                vec![c("events.task_dispatch", 1), dev("dev.cpu", on.0, ".dispatches", 1)],
+                vec![("queue_wait_ns", waited.as_nanos())],
+            ),
+            TraceEvent::TaskStart { on, .. } => {
+                (vec![c("events.task_start", 1), dev("dev.cpu", on.0, ".tasks", 1)], vec![])
+            }
+            TraceEvent::TaskFinish { .. } => (vec![c("events.task_finish", 1)], vec![]),
+            TraceEvent::FaultDetected { on, .. } => (
+                vec![c("events.fault_detected", 1), c("faults.detected", 1), dev("dev.cpu", on.0, ".faults", 1)],
+                vec![],
+            ),
+            TraceEvent::TaskRetry { lost, .. } => (
+                vec![c("events.task_retry", 1), c("recovery.retries", 1)],
+                vec![("recovery_lost_ns", lost.as_nanos())],
+            ),
+            TraceEvent::Reconstruct { bytes, took, .. } => (
+                vec![c("events.reconstruct", 1), c("recovery.reconstructs", 1), c("bytes.reconstructed", bytes)],
+                vec![("reconstruct_ns", took.as_nanos())],
+            ),
+            TraceEvent::RequestTag { .. } => (vec![c("events.request_tag", 1)], vec![]),
+            TraceEvent::BreakerTrip { node, .. } => (
+                vec![c("events.breaker_trip", 1), c("breaker.trips", 1), dev("node", node.0, ".breaker.trips", 1)],
+                vec![],
+            ),
+            TraceEvent::BreakerProbe { .. } => {
+                (vec![c("events.breaker_probe", 1), c("breaker.probes", 1)], vec![])
+            }
+            TraceEvent::BreakerClose { .. } => {
+                (vec![c("events.breaker_close", 1), c("breaker.closes", 1)], vec![])
+            }
+            TraceEvent::RequestShed { .. } => {
+                (vec![c("events.request_shed", 1), c("serve.shed", 1)], vec![])
+            }
+            TraceEvent::RequestDegraded { .. } => {
+                (vec![c("events.request_degraded", 1), c("serve.degraded", 1)], vec![])
+            }
+        };
+        counters.push(c("events", 1));
+        (counters, hists)
+    }
+
+    #[test]
+    fn device_counters_read_as_if_every_event_were_named() {
+        let (at, took) = (SimTime(5), SimDuration(3));
+        let mut events = Vec::new();
+        for i in 0..40u32 {
+            let (m, cpu, n) = (MemDeviceId(i * 7 % 12), ComputeId(i * 5 % 11), NodeId(i % 5 * 3));
+            // Zero-byte events still create their counters.
+            let (bytes, t) = (u64::from(i % 4) * 100, u64::from(i));
+            let lost = SimDuration(t * 10);
+            events.extend([
+                TraceEvent::Alloc { region: 1, dev: m, bytes, at },
+                TraceEvent::Free { region: 1, dev: m, bytes, at },
+                TraceEvent::Access { region: 1, dev: m, bytes, op: AccessOp::Read, at, took },
+                TraceEvent::Migrate { region: 1, from: m, to: MemDeviceId(i % 3), bytes, at, took },
+                TraceEvent::OwnershipTransfer { region: 1, from_task: 0, to_task: 1, bytes, at },
+                TraceEvent::TaskQueued { job: 0, task: t, on: cpu, at },
+                TraceEvent::TaskDispatch { job: 0, task: t, on: cpu, at, waited: lost },
+                TraceEvent::TaskStart { job: 0, task: t, on: cpu, at },
+                TraceEvent::TaskFinish { job: 0, task: t, on: cpu, at },
+            ]);
+            if i % 3 == 0 {
+                events.extend([
+                    TraceEvent::FaultDetected { job: 0, task: t, on: ComputeId(i % 2), at },
+                    TraceEvent::TaskRetry { job: 0, task: t, from: cpu, to: cpu, attempt: 1, at, lost },
+                    TraceEvent::Reconstruct { region: 1, dev: m, bytes, at, took, job: None, task: None },
+                    TraceEvent::RequestTag { request: t, tenant: 0, job: 0, at },
+                    TraceEvent::BreakerTrip { node: n, at },
+                    TraceEvent::BreakerProbe { node: n, at },
+                    TraceEvent::BreakerClose { node: n, at },
+                    TraceEvent::RequestShed { request: t, tenant: 0, at },
+                    TraceEvent::RequestDegraded { request: t, tenant: 0, at },
+                ]);
+            }
+        }
+        let mut r = MetricsRegistry::new();
+        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
+        // Names given directly share the metrics `record` feeds, and
+        // other names (a device id spelled with a leading zero too)
+        // stay apart.
+        for (name, by) in [("dev.mem1.bytes", 9), ("dev.mem01.bytes", 4), ("events", 2), ("custom", 0)] {
+            r.incr(name, by);
+            *counters.entry(name.to_string()).or_insert(0) += by;
+        }
+        for (name, v) in [("access_ns", 77), ("custom_ns", 5)] {
+            r.observe(name, v);
+            histograms.entry(name.to_string()).or_default().observe(v);
+        }
+        for e in &events {
+            r.record(e);
+            let (cs, hs) = named_metrics(e);
+            for (k, v) in cs {
+                *counters.entry(k).or_insert(0) += v;
+            }
+            for (k, v) in hs {
+                histograms.entry(k.to_string()).or_default().observe(v);
+            }
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.counters, counters.clone().into_iter().collect::<Vec<_>>());
+        let want: Vec<(String, HistogramSnapshot)> =
+            histograms.iter().map(|(k, h)| (k.clone(), HistogramSnapshot::of(h))).collect();
+        assert_eq!(snap.histograms, want);
+        for (k, v) in &counters {
+            assert_eq!(r.counter(k), *v, "{k}");
+        }
+        for (k, h) in &histograms {
+            assert_eq!(r.histogram(k), Some(h), "{k}");
+        }
+        assert_eq!(r.counter("dev.mem99.bytes"), 0);
+        assert_eq!(r.histogram("reconstruct_ns").unwrap().count, 14);
+        assert!(r.histogram("missing").is_none());
     }
 }

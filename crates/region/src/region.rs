@@ -11,8 +11,7 @@
 //! with its type, declared properties, and owner set, and enforces the
 //! ownership rules on every access.
 
-use std::collections::HashMap;
-
+use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::SimTime;
 use disagg_hwsim::topology::Topology;
@@ -175,12 +174,13 @@ pub struct RegionMeta {
 #[derive(Debug)]
 pub struct RegionManager {
     pool: MemoryPool,
-    meta: HashMap<RegionId, RegionMeta>,
+    /// Region ids are issued by the simulation itself, so the fast
+    /// non-DoS-resistant Fx hash is safe here.
+    meta: FxHashMap<RegionId, RegionMeta>,
     /// Owner → regions index, kept in sync with `meta` ownership so
-    /// task-exit cleanup (`owned_by`/`release_all`, called once per
-    /// task) is O(regions of that owner), not a scan of every live
-    /// region.
-    owners: HashMap<OwnerId, Vec<RegionId>>,
+    /// task-exit cleanup (`release_owned`, called once per task) is
+    /// O(regions of that owner), not a scan of every live region.
+    owners: FxHashMap<OwnerId, Vec<RegionId>>,
 }
 
 impl RegionManager {
@@ -188,8 +188,8 @@ impl RegionManager {
     pub fn new(topo: &Topology) -> Self {
         RegionManager {
             pool: MemoryPool::new(topo),
-            meta: HashMap::new(),
-            owners: HashMap::new(),
+            meta: FxHashMap::default(),
+            owners: FxHashMap::default(),
         }
     }
 
@@ -445,47 +445,67 @@ impl RegionManager {
     /// Releases `who`'s ownership. When the last owner releases, the
     /// region is freed and `Ok(true)` is returned.
     pub fn release(&mut self, id: RegionId, who: OwnerId) -> Result<bool, RegionError> {
-        let meta = self.meta(id)?;
-        if !meta.ownership.is_owner(who) {
-            return Err(RegionError::NotOwner { region: id, who });
-        }
-        let empty = {
-            let meta = self.meta.get_mut(&id).expect("checked above");
-            match &mut meta.ownership {
-                Ownership::Exclusive(_) => true,
-                Ownership::Shared(v) => {
-                    v.retain(|&o| o != who);
-                    match v.len() {
-                        0 => true,
-                        1 => {
-                            let last = v[0];
-                            meta.ownership = Ownership::Exclusive(last);
-                            false
-                        }
-                        _ => false,
-                    }
-                }
-            }
-        };
+        let freed = self.drop_owner(id, who)?;
         self.index_remove(who, id);
-        if empty {
-            self.meta.remove(&id);
-            self.pool.free(id)?;
-        }
-        Ok(empty)
+        Ok(freed.is_some())
     }
 
     /// Releases everything a given owner holds (task-exit cleanup).
     /// Returns the regions that were freed outright.
     pub fn release_all(&mut self, who: OwnerId) -> Vec<RegionId> {
-        let owned = self.owned_by(who);
         let mut freed = Vec::new();
+        self.release_owned(who, |id, _| freed.push(id));
+        freed
+    }
+
+    /// Releases everything `who` holds, in region-id order, calling
+    /// `on_free` with each region freed outright and the placement it
+    /// had. Takes the owner's index entry out once instead of looking
+    /// it up per region.
+    pub fn release_owned(&mut self, who: OwnerId, mut on_free: impl FnMut(RegionId, Placement)) {
+        let Some(mut owned) = self.owners.remove(&who) else {
+            return;
+        };
+        owned.sort_unstable();
+        owned.dedup();
         for id in owned {
-            if self.release(id, who).unwrap_or(false) {
-                freed.push(id);
+            if let Ok(Some(p)) = self.drop_owner(id, who) {
+                on_free(id, p);
             }
         }
-        freed
+    }
+
+    /// Removes `who` from a region's owners, leaving the owner index to
+    /// the caller. Frees the region when `who` was its last owner and
+    /// returns the placement it had.
+    fn drop_owner(&mut self, id: RegionId, who: OwnerId) -> Result<Option<Placement>, RegionError> {
+        let meta = self
+            .meta
+            .get_mut(&id)
+            .ok_or(RegionError::Alloc(AllocError::UnknownRegion(id)))?;
+        if !meta.ownership.is_owner(who) {
+            return Err(RegionError::NotOwner { region: id, who });
+        }
+        let empty = match &mut meta.ownership {
+            Ownership::Exclusive(_) => true,
+            Ownership::Shared(v) => {
+                v.retain(|&o| o != who);
+                match v.len() {
+                    0 => true,
+                    1 => {
+                        let last = v[0];
+                        meta.ownership = Ownership::Exclusive(last);
+                        false
+                    }
+                    _ => false,
+                }
+            }
+        };
+        if !empty {
+            return Ok(None);
+        }
+        self.meta.remove(&id);
+        Ok(Some(self.pool.free(id)?))
     }
 
     /// Number of live regions.

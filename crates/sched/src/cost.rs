@@ -59,8 +59,17 @@ pub enum TopologyAwareness {
     Blind,
 }
 
+/// The utilization-independent terms of one [`CostModel::score`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct StaticTerms {
+    /// Weighted latency plus transfer time, before contention.
+    base: f64,
+    /// Weighted dollar-cost tiebreaker.
+    dollars: f64,
+}
+
 /// The cost model.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostModel {
     /// Blend weights.
     pub weights: CostWeights,
@@ -90,6 +99,23 @@ impl CostModel {
         size: u64,
         utilization: f64,
     ) -> Option<f64> {
+        self.static_terms(topo, compute, dev, props, size)
+            .map(|terms| self.apply_utilization(terms, utilization))
+    }
+
+    /// The part of [`score`](Self::score) that does not depend on the
+    /// device's utilization: feasibility, the latency/bandwidth blend and
+    /// the dollar term. It reads only the topology, this model, the
+    /// device pair, `props` and `size`, so callers may reuse it across
+    /// calls that differ only in utilization.
+    pub(crate) fn static_terms(
+        &self,
+        topo: &Topology,
+        compute: ComputeId,
+        dev: MemDeviceId,
+        props: &PropertySet,
+        size: u64,
+    ) -> Option<StaticTerms> {
         let real_path = topo.path(compute, dev)?;
         let path = match self.awareness {
             TopologyAwareness::Aware => real_path,
@@ -115,11 +141,19 @@ impl CostModel {
         let latency_term = chunks * per_chunk_lat;
         let transfer_term = size as f64 / bw;
 
-        let base = self.weights.latency * latency_term + self.weights.bandwidth * transfer_term;
-        let contended = base * (1.0 + self.weights.contention * utilization.clamp(0.0, 1.0));
-        let pressure = self.weights.pressure * base * utilization.clamp(0.0, 1.0);
-        let dollars = self.weights.dollars * model.cost_per_gib;
-        Some(contended + pressure + dollars)
+        Some(StaticTerms {
+            base: self.weights.latency * latency_term + self.weights.bandwidth * transfer_term,
+            dollars: self.weights.dollars * model.cost_per_gib,
+        })
+    }
+
+    /// Completes a score from its static terms and the device's current
+    /// utilization (the contention and capacity-pressure terms).
+    pub(crate) fn apply_utilization(&self, terms: StaticTerms, utilization: f64) -> f64 {
+        let u = utilization.clamp(0.0, 1.0);
+        let contended = terms.base * (1.0 + self.weights.contention * u);
+        let pressure = self.weights.pressure * terms.base * u;
+        contended + pressure + terms.dollars
     }
 
     /// Scores every feasible device, cheapest first.

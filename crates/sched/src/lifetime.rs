@@ -209,18 +209,14 @@ impl LifetimeManager {
 
     /// End-of-task cleanup: releases everything the task still owns.
     pub fn task_exit(&self, mgr: &mut RegionManager, trace: &mut Trace, who: OwnerId, now: SimTime) {
-        for id in mgr.owned_by(who) {
-            if let Ok(p) = mgr.placement(id) {
-                if mgr.release(id, who).unwrap_or(false) {
-                    trace.push(TraceEvent::Free {
-                        region: id.0,
-                        dev: p.dev,
-                        bytes: p.size,
-                        at: now,
-                    });
-                }
-            }
-        }
+        mgr.release_owned(who, |id, p| {
+            trace.push(TraceEvent::Free {
+                region: id.0,
+                dev: p.dev,
+                bytes: p.size,
+                at: now,
+            });
+        });
     }
 }
 
@@ -415,5 +411,83 @@ mod tests {
         lm.task_exit(&mut mgr, &mut trace, P, SimTime(100));
         assert_eq!(mgr.live_count(), 0);
         assert_eq!(trace.count(|e| matches!(e, TraceEvent::Free { .. })), 3);
+    }
+
+    #[test]
+    fn release_owned_matches_releasing_each_owned_region() {
+        use disagg_hwsim::rng::SimRng;
+        use disagg_region::pool::RegionId;
+
+        // The task-exit loop before `release_owned`: list the owner's
+        // regions, then release them one by one.
+        fn exit_one_by_one(mgr: &mut RegionManager, trace: &mut Trace, who: OwnerId, now: SimTime) {
+            for id in mgr.owned_by(who) {
+                if let Ok(p) = mgr.placement(id) {
+                    if mgr.release(id, who).unwrap_or(false) {
+                        trace.push(TraceEvent::Free { region: id.0, dev: p.dev, bytes: p.size, at: now });
+                    }
+                }
+            }
+        }
+
+        let (topo, ids) = single_server();
+        let owners: Vec<OwnerId> = (0..6)
+            .map(|task| OwnerId::Task { job: 0, task })
+            .chain([OwnerId::Job(0), OwnerId::App])
+            .collect();
+        let types = [RegionType::PrivateScratch, RegionType::Output, RegionType::GlobalScratch];
+        // A seeded mix of allocations, transfers and shares, and the
+        // order in which the owners exit.
+        let build = |seed: u64| {
+            let mut rng = SimRng::new(seed);
+            let mut mgr = RegionManager::new(&topo);
+            let mut regions: Vec<RegionId> = Vec::new();
+            for _ in 0..60 {
+                let who = *rng.pick(&owners);
+                match rng.next_below(3) {
+                    0 => {
+                        // DRAM is coherent, so any shareable region can be shared.
+                        let rtype = *rng.pick(&types);
+                        let id = mgr.alloc(ids.dram, 4096, rtype, PropertySet::new(), who, SimTime::ZERO);
+                        regions.push(id.unwrap());
+                    }
+                    1 if !regions.is_empty() => {
+                        let id = *rng.pick(&regions);
+                        let _ = mgr.transfer(id, who, *rng.pick(&owners));
+                    }
+                    _ if !regions.is_empty() => {
+                        let id = *rng.pick(&regions);
+                        let _ = mgr.share(id, who, *rng.pick(&owners), &topo);
+                    }
+                    _ => {}
+                }
+            }
+            let mut exits = owners.clone();
+            rng.shuffle(&mut exits);
+            (mgr, regions, exits)
+        };
+        for seed in 0..20 {
+            let (mgr, regions, exits) = build(seed);
+            let lm = LifetimeManager::default();
+            let (mut old_mgr, mut old_trace) = (build(seed).0, Trace::enabled());
+            let (mut new_mgr, mut new_trace) = (mgr, Trace::enabled());
+            for (i, &who) in exits.iter().enumerate() {
+                let now = SimTime(i as u64);
+                exit_one_by_one(&mut old_mgr, &mut old_trace, who, now);
+                lm.task_exit(&mut new_mgr, &mut new_trace, who, now);
+                for &o in &owners {
+                    assert_eq!(new_mgr.owned_by(o), old_mgr.owned_by(o), "seed {seed}: index of {o:?}");
+                }
+                for &id in &regions {
+                    assert_eq!(new_mgr.is_live(id), old_mgr.is_live(id), "seed {seed}: {id}");
+                    if let (Ok(a), Ok(b)) = (new_mgr.meta(id), old_mgr.meta(id)) {
+                        assert_eq!(a.ownership, b.ownership, "seed {seed}: owners of {id}");
+                    }
+                }
+                assert_eq!(new_trace.events(), old_trace.events(), "seed {seed}: Free events");
+            }
+            assert_eq!(new_mgr.live_count(), 0);
+            assert_eq!(new_trace.events().len(), regions.len(), "seed {seed}: one Free each");
+        }
     }
 }

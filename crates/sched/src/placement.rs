@@ -12,13 +12,33 @@
 //! the **compute-centric** strategy (always use the executing device's
 //! local memory — today's default), and a **worst-feasible** adversary
 //! used to bound how bad naïve placement can get (experiment E9).
+//!
+//! # Score row
+//!
+//! Every region allocation scores each memory device once per accessor,
+//! and between two calls for the same `(props, size)` request shape only
+//! the devices' utilization changes. The engine therefore keeps one
+//! *score row*: for the last request shape, the cost model's
+//! utilization-free `static_terms` per `(compute, device)` pair, filled
+//! the first time a pair is scored. A call for the same shape then costs
+//! one utilization step per device. A call with another shape, topology
+//! build or cost model empties the row. Scores come out bit-for-bit equal
+//! to [`CostModel::score`], which runs the same two steps.
+//!
+//! One row is enough. Per benchmark workload, the share of
+//! `choose`/`choose_shared` calls whose shape, topology and model match
+//! the previous call's is 100% on `batch_dag` (every output is 4 KiB),
+//! 29% on `apps_rw`, 52% on `serve_bulk` and 60% on `serve_chaos`.
+//! Keeping the 16 most recent shapes raised the last three to 97%, 98%
+//! and 88% but did not change any workload's host time beyond
+//! run-to-run noise.
 
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::topology::Topology;
 use disagg_region::pool::MemoryPool;
 use disagg_region::props::PropertySet;
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, StaticTerms};
 
 /// Placement strategy selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,6 +72,59 @@ pub struct PlacementDecision {
     pub feasible: usize,
 }
 
+/// The static score terms of one request shape on one topology build
+/// under one cost model, per device pair.
+#[derive(Debug, Default)]
+struct ScoreRow {
+    /// What the terms are for: topology build, model, props and size
+    /// (`None` until the first call).
+    key: Option<(u64, CostModel, PropertySet, u64)>,
+    /// Bumped whenever the key changes, so emptying the row touches no
+    /// cell.
+    generation: u64,
+    /// `cells[compute * mem_devices + dev]`: the generation the pair was
+    /// last scored in and its static terms then (`None` when infeasible).
+    /// A cell from an older generation is empty.
+    cells: Vec<(u64, Option<StaticTerms>)>,
+}
+
+impl ScoreRow {
+    /// Makes this the row of `(props, size)` under `model` on `topo`,
+    /// emptying it unless it already is.
+    fn select(&mut self, model: &CostModel, topo: &Topology, props: &PropertySet, size: u64) {
+        let build = topo.build_id();
+        if !matches!(&self.key, Some((t, m, p, s)) if *t == build && *s == size && p == props && m == model)
+        {
+            self.key = Some((build, model.clone(), props.clone(), size));
+            self.generation += 1;
+            self.cells.resize(
+                topo.compute_devices().len() * topo.mem_devices().len(),
+                (0, None),
+            );
+        }
+    }
+
+    /// The static terms of serving the selected request from `dev` to a
+    /// task on `compute`, computed on first use.
+    fn terms(
+        &mut self,
+        model: &CostModel,
+        topo: &Topology,
+        compute: ComputeId,
+        dev: MemDeviceId,
+    ) -> Option<StaticTerms> {
+        let (_, _, props, size) = self.key.as_ref().expect("a row is selected before use");
+        let cell = &mut self.cells[compute.index() * topo.mem_devices().len() + dev.index()];
+        if cell.0 != self.generation {
+            *cell = (
+                self.generation,
+                model.static_terms(topo, compute, dev, props, *size),
+            );
+        }
+        cell.1
+    }
+}
+
 /// Resolves declarative requests to devices under a chosen policy.
 #[derive(Debug, Default)]
 pub struct PlacementEngine {
@@ -61,6 +134,8 @@ pub struct PlacementEngine {
     pub policy: PlacementPolicy,
     /// Decision log (cleared by the caller between runs as needed).
     pub decisions: Vec<PlacementDecision>,
+    /// Cached static score terms (see the module docs).
+    row: ScoreRow,
 }
 
 impl PlacementEngine {
@@ -70,6 +145,7 @@ impl PlacementEngine {
             model: CostModel::new(),
             policy,
             decisions: Vec::new(),
+            row: ScoreRow::default(),
         }
     }
 
@@ -105,16 +181,15 @@ impl PlacementEngine {
         let mut first: Option<(MemDeviceId, f64)> = None;
         // Minimum (score, id) among the executor's local devices.
         let mut best_local: Option<(MemDeviceId, f64)> = None;
+        self.row.select(&self.model, topo, props, size);
         for dev in topo.mem_ids() {
             if pool.capacity(dev) - pool.allocated(dev) < size {
                 continue;
             }
-            let Some(score) = self
-                .model
-                .score(topo, compute, dev, props, size, pool.utilization(dev))
-            else {
+            let Some(terms) = self.row.terms(&self.model, topo, compute, dev) else {
                 continue;
             };
+            let score = self.model.apply_utilization(terms, pool.utilization(dev));
             feasible += 1;
             if first.is_none() {
                 first = Some((dev, score));
@@ -162,18 +237,17 @@ impl PlacementEngine {
         assert!(!computes.is_empty(), "choose_shared needs at least one accessor");
         let mut best: Option<(MemDeviceId, f64)> = None;
         let mut feasible = 0usize;
+        self.row.select(&self.model, topo, props, size);
         for dev in topo.mem_ids() {
             if pool.capacity(dev) - pool.allocated(dev) < size {
                 continue;
             }
+            let util = pool.utilization(dev);
             let mut total = 0.0;
             let mut ok = true;
             for &c in computes {
-                match self
-                    .model
-                    .score(topo, c, dev, props, size, pool.utilization(dev))
-                {
-                    Some(s) => total += s,
+                match self.row.terms(&self.model, topo, c, dev) {
+                    Some(t) => total += self.model.apply_utilization(t, util),
                     None => {
                         ok = false;
                         break;
@@ -352,5 +426,182 @@ mod tests {
         assert_eq!(d.compute, ids.cpu);
         assert_eq!(d.size, 4096);
         assert!(d.feasible >= 1);
+    }
+
+    /// What `choose` (one accessor) or `choose_shared` picked when every
+    /// call scored every device with [`CostModel::score`] directly:
+    /// `(device, score, feasible)`.
+    fn direct_pick(
+        eng: &PlacementEngine,
+        topo: &Topology,
+        pool: &MemoryPool,
+        computes: &[ComputeId],
+        props: &PropertySet,
+        size: u64,
+        shared: bool,
+    ) -> Option<(MemDeviceId, f64, usize)> {
+        let feasible: Vec<(MemDeviceId, f64)> = topo
+            .mem_ids()
+            .filter(|&d| pool.capacity(d) - pool.allocated(d) >= size)
+            .filter_map(|d| {
+                let util = pool.utilization(d);
+                let scores: Option<Vec<f64>> = computes
+                    .iter()
+                    .map(|&c| eng.model.score(topo, c, d, props, size, util))
+                    .collect();
+                Some((d, scores?.iter().fold(0.0, |a, s| a + s)))
+            })
+            .collect();
+        let n = feasible.len();
+        let min = || {
+            feasible.iter().copied().reduce(|a, b| if b.1 < a.1 { b } else { a })
+        };
+        let pick = match eng.policy {
+            PlacementPolicy::WorstFeasible if shared => {
+                feasible.iter().copied().reduce(|a, b| if b.1 > a.1 { b } else { a })
+            }
+            PlacementPolicy::WorstFeasible => {
+                feasible.iter().copied().reduce(|a, b| if b.1 >= a.1 { b } else { a })
+            }
+            _ if shared => min(),
+            PlacementPolicy::Declarative => min(),
+            PlacementPolicy::FirstFit => feasible.first().copied(),
+            PlacementPolicy::ComputeCentric => {
+                let locals = &topo.compute(computes[0]).local_mem;
+                feasible
+                    .iter()
+                    .copied()
+                    .filter(|(d, _)| locals.contains(d))
+                    .reduce(|a, b| if b.1 < a.1 { b } else { a })
+                    .or_else(min)
+            }
+        };
+        pick.map(|(d, score)| (d, score, n))
+    }
+
+    #[test]
+    fn score_row_picks_what_direct_scoring_picks() {
+        use disagg_hwsim::device::AccessPattern;
+        use disagg_hwsim::presets::disaggregated_rack;
+        use disagg_hwsim::rng::SimRng;
+        use disagg_region::props::{AccessMode, BandwidthClass};
+
+        let (topo, _) = disaggregated_rack(2, 1, 2, 2);
+        let computes: Vec<ComputeId> = topo.compute_ids().collect();
+        let mut rng = SimRng::new(0x5c0e);
+        // A few request shapes, so calls alternate between reusing the
+        // row and emptying it.
+        let latencies = [LatencyClass::Low, LatencyClass::Medium, LatencyClass::High, LatencyClass::Any];
+        let bandwidths = [BandwidthClass::High, BandwidthClass::Medium, BandwidthClass::Low, BandwidthClass::Any];
+        let shapes: Vec<(PropertySet, u64)> = (0..4)
+            .map(|_| {
+                let props = PropertySet {
+                    latency: *rng.pick(&latencies),
+                    bandwidth: *rng.pick(&bandwidths),
+                    persistent: rng.chance(0.2),
+                    coherent: rng.chance(0.3),
+                    confidential: rng.chance(0.3),
+                    mode: if rng.chance(0.5) { AccessMode::Sync } else { AccessMode::Async },
+                    hint: AccessHint {
+                        pattern: if rng.chance(0.5) { AccessPattern::Random } else { AccessPattern::Sequential },
+                        read_fraction: rng.next_f64(),
+                        typical_bytes: *rng.pick(&[64, 256, 4096, 1 << 20]),
+                    },
+                };
+                let odd = rng.range(1, 1 << 31);
+                let size = *rng.pick(&[1, 4096, 1 << 20, 1 << 28, odd]);
+                (props, size)
+            })
+            .collect();
+        for policy in [
+            PlacementPolicy::Declarative,
+            PlacementPolicy::ComputeCentric,
+            PlacementPolicy::WorstFeasible,
+            PlacementPolicy::FirstFit,
+        ] {
+            let mut eng = PlacementEngine::new(policy);
+            let mut pool = MemoryPool::new(&topo);
+            let mut live = Vec::new();
+            let mut outcomes = [0usize; 2];
+            for _ in 0..400 {
+                // Move utilization: allocate somewhere, sometimes free.
+                let dev = MemDeviceId::from_index(rng.next_below(topo.mem_devices().len() as u64) as usize);
+                if let Ok(id) = pool.alloc(dev, rng.range(1, 1 << 29)) {
+                    live.push(id);
+                }
+                if rng.chance(0.4) && !live.is_empty() {
+                    let i = rng.next_below(live.len() as u64) as usize;
+                    pool.free(live.swap_remove(i)).unwrap();
+                }
+                let (props, size) = rng.pick(&shapes).clone();
+                let shared = rng.chance(0.5);
+                let mut accessors = vec![*rng.pick(&computes)];
+                if shared {
+                    for _ in 0..rng.next_below(3) {
+                        accessors.push(*rng.pick(&computes));
+                    }
+                }
+                let want = direct_pick(&eng, &topo, &pool, &accessors, &props, size, shared);
+                let logged = eng.decisions.len();
+                let got = if shared {
+                    eng.choose_shared(&topo, &pool, &accessors, &props, size)
+                } else {
+                    eng.choose(&topo, &pool, accessors[0], &props, size)
+                };
+                assert_eq!(got, want.map(|w| w.0), "{policy:?} shared={shared}");
+                outcomes[usize::from(got.is_some())] += 1;
+                match want {
+                    None => assert_eq!(eng.decisions.len(), logged),
+                    Some((dev, score, feasible)) => {
+                        let d = eng.decisions.last().unwrap();
+                        assert_eq!(d.dev, dev);
+                        assert_eq!(d.score.to_bits(), score.to_bits(), "bit-for-bit score");
+                        assert_eq!(d.feasible, feasible);
+                    }
+                }
+            }
+            assert!(outcomes.iter().all(|&n| n >= 40), "{policy:?}: {outcomes:?} (refused, placed)");
+        }
+    }
+
+    #[test]
+    fn score_row_is_emptied_when_the_model_or_topology_changes() {
+        use disagg_hwsim::compute::{ComputeKind, ComputeModel};
+        use disagg_hwsim::device::{MemDeviceKind, MemDeviceModel};
+        use disagg_hwsim::topology::LinkKind;
+
+        // One CPU and two identical DRAMs; `near` is the one behind the
+        // faster link.
+        let build = |near: usize| {
+            let mut b = Topology::builder();
+            let n = b.node("host");
+            let cpu = b.compute(n, ComputeModel::preset(ComputeKind::Cpu));
+            let drams = [0, 1].map(|_| b.mem(n, MemDeviceModel::preset(MemDeviceKind::Dram)));
+            for (i, &d) in drams.iter().enumerate() {
+                let latency = if i == near { 10.0 } else { 150.0 };
+                b.link_custom(cpu, d, LinkKind::MemBus, latency, 100.0);
+            }
+            (b.build().unwrap(), cpu, drams)
+        };
+        let props = PropertySet::new().with_hint(AccessHint::random_reads());
+        let mut eng = PlacementEngine::new(PlacementPolicy::Declarative);
+
+        let (a, cpu, drams) = build(0);
+        let pool = MemoryPool::new(&a);
+        let key = |eng: &PlacementEngine| eng.row.key.clone().map(|(t, m, _, _)| (t, m));
+        assert_eq!(eng.choose(&a, &pool, cpu, &props, 4096), Some(drams[0]));
+        assert_eq!(key(&eng), Some((a.build_id(), eng.model.clone())));
+
+        // Same shape, other topology build: the terms for `a` go.
+        let (b, _, _) = build(1);
+        assert_eq!(eng.choose(&b, &pool, cpu, &props, 4096), Some(drams[1]));
+        assert_eq!(key(&eng), Some((b.build_id(), eng.model.clone())));
+
+        // Blind to paths, the two DRAMs tie and the lower id wins.
+        eng.model.awareness = crate::cost::TopologyAwareness::Blind;
+        assert_eq!(eng.choose(&b, &pool, cpu, &props, 4096), Some(drams[0]));
+        assert_eq!(key(&eng), Some((b.build_id(), eng.model.clone())));
+        let blind = eng.model.score(&b, cpu, drams[0], &props, 4096, 0.0).unwrap();
+        assert_eq!(eng.decisions.last().unwrap().score, blind);
     }
 }

@@ -382,12 +382,23 @@ impl Scheduler {
             }
         }
 
-        // Per-device lanes (slots) with free times.
+        // Per-device lanes (slots) with free times, and each device's
+        // earliest lane `(index, free time)`, refreshed whenever one of
+        // its lanes is booked (first lane wins ties, as in a full scan).
         let mut lanes: Vec<Vec<SimTime>> = topo
             .compute_devices()
             .iter()
             .map(|m| vec![SimTime::ZERO; m.slots as usize])
             .collect();
+        let earliest_of = |lane_times: &[SimTime]| -> (usize, SimTime) {
+            lane_times
+                .iter()
+                .copied()
+                .enumerate()
+                .min_by_key(|&(_, t)| t)
+                .expect("devices have at least one slot")
+        };
+        let mut earliest: Vec<(usize, SimTime)> = lanes.iter().map(|l| earliest_of(l)).collect();
         // Finish time + device per item, indexed like `items`.
         let mut finish: Vec<Option<(SimTime, ComputeId)>> = vec![None; items.len()];
         let mut schedule = Schedule::default();
@@ -405,6 +416,9 @@ impl Scheduler {
         let mut guard = 0usize;
         // Reusable per-item scratch for HEFT's finish-time evaluation.
         let mut fins: Vec<SimTime> = Vec::new();
+        // Per predecessor of the current item: its device, and when its
+        // output is ready there and on any other device.
+        let mut pred_ready: Vec<(ComputeId, SimTime, SimTime)> = Vec::new();
         while let Some(i) = pending.pop_front() {
             let item = &items[i];
             let (job, spec) = jobs[item.spec_idx];
@@ -421,27 +435,21 @@ impl Scheduler {
             }
             guard = 0;
             let eligible: &[ComputeId] = &elig_sets[item.elig as usize].1;
+            pred_ready.clear();
+            pred_ready.extend(preds.iter().map(|&p| {
+                let (f, pc) = finish[pred_idx(p)].expect("preds checked above");
+                let comm = spec.tasks[p.index()].output_bytes as f64 / AVG_COMM_BW;
+                (pc, f, f + SimDuration::from_nanos_f64(comm))
+            }));
 
-            let choose_on = |ei: usize, lanes: &[Vec<SimTime>]| -> (usize, SimTime, SimTime) {
+            // (lane, start, finish) of the item on eligible device `ei`.
+            let choose_on = |ei: usize, earliest: &[(usize, SimTime)]| {
                 let c = eligible[ei];
-                let ready = preds
+                let ready = pred_ready
                     .iter()
-                    .map(|&p| {
-                        let (f, pc) = finish[pred_idx(p)].expect("preds checked above");
-                        if pc == c {
-                            f
-                        } else {
-                            let comm = spec.tasks[p.index()].output_bytes as f64 / AVG_COMM_BW;
-                            f + SimDuration::from_nanos_f64(comm)
-                        }
-                    })
+                    .map(|&(pc, local, remote)| if pc == c { local } else { remote })
                     .fold(SimTime::ZERO, SimTime::max);
-                let lane_times = &lanes[c.index()];
-                let (lane, &free) = lane_times
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, t)| *t)
-                    .expect("devices have at least one slot");
+                let (lane, free) = earliest[c.index()];
                 let start = ready.max(free);
                 let dur = SimDuration::from_nanos_f64(items[i].est[ei]);
                 (lane, start, start + dur)
@@ -453,7 +461,7 @@ impl Scheduler {
                     // recompute per comparison), then min with the same
                     // EFT → least-assigned → id tie-break.
                     fins.clear();
-                    fins.extend((0..eligible.len()).map(|ei| choose_on(ei, &lanes).2));
+                    fins.extend((0..eligible.len()).map(|ei| choose_on(ei, &earliest).2));
                     (0..eligible.len())
                         .min_by(|&a, &b| {
                             let (ca, cb) = (eligible[a], eligible[b]);
@@ -471,9 +479,10 @@ impl Scheduler {
                 }
             };
             let c = eligible[ei];
-            let (lane, start, fin) = choose_on(ei, &lanes);
+            let (lane, start, fin) = choose_on(ei, &earliest);
             assigned[c.index()] += 1;
             lanes[c.index()][lane] = fin;
+            earliest[c.index()] = earliest_of(&lanes[c.index()]);
             finish[base[item.spec_idx] + items[i].task.index()] = Some((fin, c));
             schedule.push(ScheduleEntry {
                 job,
